@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .lattice import Mat2, Vec
 
@@ -113,6 +114,7 @@ class DimerModel:
             if n.pos in seen:
                 raise ValueError("two nodes share a position")
             seen.add(n.pos)
+        self._rotation: Optional[Mapping[int, Tuple[int, ...]]] = None
 
     def node(self, nid: int) -> Node:
         return self.node_by_id[nid]
@@ -173,8 +175,13 @@ def angle_equal(u, v) -> bool:
     return _angle_half(u) == _angle_half(v) and u[0] * v[1] - u[1] * v[0] == 0
 
 
-def rotation_system(model: DimerModel) -> Dict[int, Tuple[int, ...]]:
-    """Counterclockwise cyclic edge order at every node, by exact angles."""
+def rotation_system(model: DimerModel) -> Mapping[int, Tuple[int, ...]]:
+    """Counterclockwise cyclic edge order at every node, by exact angles.
+
+    The result is computed once per model and kept on it, read-only;
+    a model whose edges leave a node at one angle raises every time."""
+    if model._rotation is not None:
+        return model._rotation
     rot: Dict[int, Tuple[int, ...]] = {}
     for n in model.nodes:
         incident = list(model.edges_at(n.id))
@@ -195,11 +202,12 @@ def rotation_system(model: DimerModel) -> Dict[int, Tuple[int, ...]]:
                 k += 1
             out.insert(k, eid)
         rot[n.id] = tuple(out)
-    return rot
+    model._rotation = MappingProxyType(rot)
+    return model._rotation
 
 
 def next_face_side(
-    model: DimerModel, rot: Dict[int, Tuple[int, ...]], side: Tuple[int, int]
+    model: DimerModel, rot: Mapping[int, Tuple[int, ...]], side: Tuple[int, int]
 ) -> Tuple[int, int]:
     """Successor of a directed edge side along the face on its left."""
     eid, d = side
@@ -212,7 +220,7 @@ def next_face_side(
     return (f, 1 if head_color == WHITE else -1)
 
 
-def faces(model: DimerModel, rot: Optional[Dict[int, Tuple[int, ...]]] = None) -> List[Face]:
+def faces(model: DimerModel, rot: Optional[Mapping[int, Tuple[int, ...]]] = None) -> List[Face]:
     """All faces, traced with the interior on the left of each side."""
     if rot is None:
         rot = rotation_system(model)
@@ -614,12 +622,12 @@ def _candidate_translations(model: DimerModel, h: Mat2, linear: Mat2) -> List[Pt
 
 
 def _generating_words(elements: Sequence[Mat2]):
-    """A small generating subset plus a word (generator index list) for
-    every element."""
+    """A smallest generating subset plus a word (generator index list) for
+    every element; the trivial group has no generators."""
     from itertools import combinations
 
     elems = set(elements)
-    for r in (1, 2):
+    for r in (0, 1, 2):
         for gens in combinations(sorted(elements), r):
             words = {Mat2.identity(): []}
             frontier = [Mat2.identity()]

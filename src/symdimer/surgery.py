@@ -7,6 +7,7 @@ verified from scratch (geometry, consistency, zigzag polygon) before it
 is accepted.
 """
 
+import heapq
 import itertools
 import math
 import os
@@ -18,6 +19,7 @@ from .dimer import (
     Edge,
     MergeLoopError,
     Node,
+    Pt,
     SymmetryAction,
     frac_pt,
     remove_divalent,
@@ -223,54 +225,83 @@ def delete_edges(model: DimerModel, edge_ids: Iterable[int]) -> DimerModel:
 # Harmonic re-embedding
 
 
-def _solve_linear(a: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if m[r][col] != 0), None
-        )
-        if pivot is None:
-            raise EmbeddingFailedError("singular harmonic system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 def reembed(model: DimerModel) -> DimerModel:
-    """Move every node to the centroid of its neighbors (as seen through
-    the edge offsets), keeping the smallest node id pinned in place.  The
-    solution is the unique harmonic embedding with that pin; symmetric
-    models stay symmetric because affine torus maps preserve centroids."""
+    """Tutte's barycentric embedding: move every node to the centroid of
+    its neighbors (as seen through the edge offsets), keeping the
+    smallest node id pinned in place.
+
+    The pinned graph Laplacian is stored as one sparse row per node, the
+    pin moved into the right-hand side, and the system solved exactly in
+    `Fraction`s by Gaussian elimination with minimum-degree pivoting (the
+    active row with the fewest entries, ties to the smaller index), both
+    coordinates in one pass, then back-substituted.  The solution is the
+    unique harmonic embedding with that pin; symmetric models stay
+    symmetric because affine torus maps preserve centroids.  A graph not
+    connected to the pin raises EmbeddingFailedError("singular harmonic
+    system"), and two nodes landing on one position raise
+    EmbeddingFailedError with DimerModel's message."""
     ids = sorted(n.id for n in model.nodes)
     idx = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    rhs_x = [Fraction(0)] * n
-    rhs_y = [Fraction(0)] * n
+    pin = model.node(ids[0]).pos
+    rows: List[Dict[int, Fraction]] = [{} for _ in range(n)]
+    rhs = [[Fraction(0), Fraction(0)] for _ in range(n)]
     for e in model.edges:
         w, b = idx[e.white], idx[e.black]
-        mat[w][w] += 1
-        mat[w][b] -= 1
-        rhs_x[w] += e.offset[0]
-        rhs_y[w] += e.offset[1]
-        mat[b][b] += 1
-        mat[b][w] -= 1
-        rhs_x[b] -= e.offset[0]
-        rhs_y[b] -= e.offset[1]
-    pin = model.node(ids[0]).pos
-    mat[0] = [Fraction(1 if j == 0 else 0) for j in range(n)]
-    rhs_x[0] = pin[0]
-    rhs_y[0] = pin[1]
-    xs = _solve_linear(mat, rhs_x)
-    ys = _solve_linear([row[:] for row in mat], rhs_y)
+        for u, v, sign in ((w, b, 1), (b, w, -1)):
+            if u == 0:
+                continue
+            row, r = rows[u], rhs[u]
+            row[u] = row.get(u, 0) + 1
+            r[0] += sign * e.offset[0]
+            r[1] += sign * e.offset[1]
+            if v == 0:
+                r[0] += pin[0]
+                r[1] += pin[1]
+            else:
+                row[v] = row.get(v, 0) - 1
+
+    # The system is symmetric positive semidefinite, so a diagonal pivot
+    # is zero exactly when the matrix is singular.
+    heap = [(len(rows[i]), i) for i in range(1, n)]
+    heapq.heapify(heap)
+    active = [i > 0 for i in range(n)]
+    order: List[Tuple[int, Fraction]] = []
+    while heap:
+        size, p = heapq.heappop(heap)
+        if not active[p] or size != len(rows[p]):
+            continue
+        active[p] = False
+        row = rows[p]
+        piv = row.pop(p, 0)
+        if piv == 0:
+            raise EmbeddingFailedError("singular harmonic system")
+        order.append((p, piv))
+        bx, by = rhs[p]
+        for j, a in row.items():
+            f = Fraction(a) / piv
+            rj = rows[j]
+            del rj[p]
+            for k, v in row.items():
+                s = rj.get(k, 0) - f * v
+                if s:
+                    rj[k] = s
+                else:
+                    rj.pop(k, None)
+            r = rhs[j]
+            r[0] -= f * bx
+            r[1] -= f * by
+            heapq.heappush(heap, (len(rj), j))
+
+    pos: List[Pt] = [pin] * n
+    for p, piv in reversed(order):
+        x, y = rhs[p]
+        for k, v in rows[p].items():
+            x -= v * pos[k][0]
+            y -= v * pos[k][1]
+        pos[p] = (x / piv, y / piv)
     nodes = [
-        Node(id=nid, color=model.node(nid).color, pos=frac_pt((xs[i], ys[i])))
+        Node(id=nid, color=model.node(nid).color, pos=frac_pt(pos[i]))
         for i, nid in enumerate(ids)
     ]
     try:

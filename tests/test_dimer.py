@@ -17,6 +17,7 @@ from symdimer.dimer import (
     NoFixedFaceError,
     Node,
     NotSymmetricError,
+    TwoEdgesSameDirectionError,
     UnknownElementError,
     face_offset_sum,
     faces,
@@ -24,6 +25,7 @@ from symdimer.dimer import (
     fixed_face,
     remove_divalent,
     rotation_system,
+    symmetry_actions,
     validate,
 )
 from symdimer.lattice import Mat2, canonical_group
@@ -109,6 +111,25 @@ def test_rotation_order_octagon_node0():
     assert rot[0] == (9, 3, 0)
 
 
+def test_rotation_system_is_computed_once_per_model():
+    m = octagon_model()
+    rot = rotation_system(m)
+    assert rotation_system(m) is rot
+    with pytest.raises(TypeError):
+        rot[0] = ()
+
+
+def test_rotation_system_failure_is_raised_every_time():
+    # both edges run from the white node along the diagonal direction
+    m = DimerModel(
+        [Node(0, WHITE, (F(1, 4), F(1, 4))), Node(1, BLACK, (F(3, 4), F(3, 4)))],
+        [Edge(0, 0, 1, (0, 0)), Edge(1, 0, 1, (1, 1))],
+    )
+    for _ in range(2):
+        with pytest.raises(TwoEdgesSameDirectionError):
+            rotation_system(m)
+
+
 def _subdivided_square():
     # edge 0 of the square model replaced by a chain through two divalent
     # nodes placed on the old segment
@@ -173,6 +194,15 @@ SYMMETRY_CASES = [
 def test_find_symmetry_catalog(mk, tag):
     act = find_symmetry(mk(), canonical_group(tag))
     assert len(act.elements) == len(canonical_group(tag))
+
+
+@pytest.mark.parametrize(
+    "mk", [hexagonal_model, square_model, octagon_model, dodecagon_model]
+)
+def test_trivial_group_yields_one_action(mk):
+    acts = list(symmetry_actions(mk(), canonical_group("TRIVIAL")))
+    assert len(acts) == 1
+    assert acts[0].maps[Mat2.identity()].translation == (0, 0)
 
 
 def test_find_symmetry_rejects_wrong_group():

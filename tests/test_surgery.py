@@ -1,8 +1,21 @@
 """Covers, edge deletion, and the two verified cutting operations."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from symdimer.dimer import find_symmetry, validate
+from symdimer.dimer import (
+    WHITE,
+    BLACK,
+    DimerModel,
+    Edge,
+    MergeLoopError,
+    Node,
+    find_symmetry,
+    frac_pt,
+    validate,
+)
 from symdimer.lattice import (
     Mat2,
     canonical_group,
@@ -12,10 +25,12 @@ from symdimer.lattice import (
 )
 from symdimer.matchings import characteristic_polygon, enumerate_matchings
 from symdimer.surgery import (
+    EmbeddingFailedError,
     IsolatedNodeError,
     SearchExhaustedError,
     SelectionFailedError,
     SingularBasisError,
+    SurgeryError,
     UnivalentAfterDeletionError,
     WholePolygonError,
     cover,
@@ -159,6 +174,128 @@ def test_reembed_preserves_validity_and_symmetry():
     assert validate(r).ok
     action = find_symmetry(r, canonical_group("D8"))
     assert action is not None
+
+
+# Dense reference for reembed: the pinned Laplacian written out in full and
+# solved by Gauss-Jordan elimination, both coordinates as two augmented
+# columns.
+
+
+def dense_reembed(model):
+    ids = sorted(n.id for n in model.nodes)
+    idx = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
+    m = [[Fraction(0)] * (n + 2) for _ in range(n)]
+    for e in model.edges:
+        w, b = idx[e.white], idx[e.black]
+        for u, v, sign in ((w, b, 1), (b, w, -1)):
+            m[u][u] += 1
+            m[u][v] -= 1
+            m[u][n] += sign * e.offset[0]
+            m[u][n + 1] += sign * e.offset[1]
+    pin = model.node(ids[0]).pos
+    m[0] = [Fraction(1 if j == 0 else 0) for j in range(n)] + list(pin)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise EmbeddingFailedError("singular harmonic system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    nodes = [
+        Node(id=nid, color=model.node(nid).color, pos=frac_pt((m[i][n], m[i][n + 1])))
+        for i, nid in enumerate(ids)
+    ]
+    try:
+        return DimerModel(nodes, model.edges)
+    except ValueError as exc:
+        raise EmbeddingFailedError(str(exc)) from None
+
+
+def _outcome(embed, model):
+    try:
+        return embed(model).nodes
+    except EmbeddingFailedError as exc:
+        return type(exc), str(exc)
+
+
+CATALOG = [hexagonal_model, square_model, octagon_model, dodecagon_model]
+
+
+def _crossing_candidates(model):
+    """Every edge deletion that resolves one crossing pair of zigzag paths
+    and collapses to a model."""
+    paths = zigzag_paths(model)
+    out = []
+    for z1, z2 in itertools.combinations(paths, 2):
+        shared = set(z1.edge_ids()) & set(z2.edge_ids())
+        if not shared:
+            continue
+        try:
+            out.append(delete_edges(model, shared))
+        except (SurgeryError, MergeLoopError):
+            continue
+    return out
+
+
+@pytest.mark.parametrize("make", CATALOG)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reembed_matches_dense_solve_on_catalog_covers(make, k):
+    m = cover(make(), mat(k, 0, 0, k))
+    assert _outcome(reembed, m) == _outcome(dense_reembed, m)
+
+
+@pytest.mark.parametrize("make", CATALOG)
+def test_reembed_matches_dense_solve_on_crossing_cuts(make):
+    base = make()
+    cands = _crossing_candidates(base) + _crossing_candidates(
+        cover(base, mat(2, 0, 0, 1))
+    )
+    assert cands
+    for cut in cands:
+        assert _outcome(reembed, cut) == _outcome(dense_reembed, cut)
+
+
+def _disjoint_hexagonal_pair():
+    base = hexagonal_model()
+    shift = Fraction(1, 6)
+    nodes = list(base.nodes) + [
+        Node(n.id + 2, n.color, (n.pos[0] - shift, n.pos[1])) for n in base.nodes
+    ]
+    edges = list(base.edges) + [
+        Edge(e.id + 3, e.white + 2, e.black + 2, e.offset) for e in base.edges
+    ]
+    return DimerModel(nodes, edges)
+
+
+def test_reembed_rejects_model_disconnected_from_pin():
+    m = _disjoint_hexagonal_pair()
+    with pytest.raises(EmbeddingFailedError, match="singular harmonic system"):
+        reembed(m)
+    with pytest.raises(EmbeddingFailedError, match="singular harmonic system"):
+        dense_reembed(m)
+
+
+def test_reembed_rejects_coincident_harmonic_positions():
+    # Two white nodes with the same neighbor and the same four offsets
+    # have the same centroid, so the pinned one is hit by the other.
+    offsets = [(0, 0), (-1, 0), (0, -1), (-1, -1)]
+    m = DimerModel(
+        [
+            Node(0, WHITE, (Fraction(1, 4), Fraction(1, 4))),
+            Node(1, BLACK, (Fraction(3, 4), Fraction(3, 4))),
+            Node(2, WHITE, (Fraction(1, 2), Fraction(1, 4))),
+        ],
+        [Edge(i, 0, 1, o) for i, o in enumerate(offsets)]
+        + [Edge(4 + i, 2, 1, o) for i, o in enumerate(offsets)],
+    )
+    with pytest.raises(EmbeddingFailedError, match="two nodes share a position"):
+        reembed(m)
+    assert _outcome(dense_reembed, m) == _outcome(reembed, m)
 
 
 # ---------------------------------------------------------------------------
