@@ -20,13 +20,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .construct import (
     NotInvariantError,
     PlannerStuckError,
     Report,
-    SymmetricDimer,
     UnsupportedGroupError,
     synthesize,
     verify_bundle,
@@ -39,15 +38,16 @@ from .dimer import (
     NoFixedFaceError,
     Node,
     NotSymmetricError,
+    TwoEdgesSameDirectionError,
     edge_segment,
     find_symmetry,
 )
 from .lattice import (
+    DegenerateError,
     Mat2,
     NotFiniteError,
     classify_group,
     convex_hull,
-    exact_invariant_frame,
     generate_group,
     same_up_to_translation,
 )
@@ -56,7 +56,6 @@ from .matchings import (
     CapExceededError,
     NoInvariantMatchingError,
     OriginNotInPolygonError,
-    characteristic_polygon,
     enumerate_matchings,
     height_change,
     invariant_matching_at_origin,
@@ -66,7 +65,12 @@ from .quiver import (
     quiver_of,
     twisted_action,
 )
-from .zigzag import zigzag_paths, zigzag_polygon
+from .zigzag import (
+    NonPrimitiveSlopeError,
+    NotClosedError,
+    zigzag_paths,
+    zigzag_polygon,
+)
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -460,26 +464,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _origin_reference(model: DimerModel, elements) -> Sequence[int]:
-    """A perfect matching at the origin of the group-invariant placement
-    of the characteristic polygon, for anchoring the twist."""
-    ms = enumerate_matchings(model)
-    heights = [height_change(model, m, ms[0]) for m in ms]
-    hull = convex_hull(heights)
-    try:
-        frame = exact_invariant_frame(hull, elements)
-    except ValueError as exc:
-        raise NoInvariantMatchingError(
-            f"polygon has no invariant placement: {exc}"
-        ) from exc
-    shift = (frame[0][0] - hull[0][0], frame[0][1] - hull[0][1])
-    want = (-shift[0], -shift[1])
-    for m, h in zip(ms, heights):
-        if h == want:
-            return m
-    raise NoInvariantMatchingError("no matching sits at the origin")
-
-
 def _quiver_doc(model: DimerModel) -> dict:
     q = quiver_of(model)
     return {
@@ -496,7 +480,11 @@ def _quiver_doc(model: DimerModel) -> dict:
 
 def cmd_quiver(args) -> int:
     model, meta = model_from_doc(_load_json(args.model))
-    doc = _quiver_doc(model)
+    try:
+        doc = _quiver_doc(model)
+    except (TwoEdgesSameDirectionError, ValueError) as exc:
+        print(f"model has no dual quiver: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     if args.twist:
         raw = meta.get("generators")
         if raw is None:
@@ -519,8 +507,7 @@ def cmd_quiver(args) -> int:
             print(f"group metadata does not act on the model: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
         try:
-            reference = _origin_reference(model, elements)
-            d0 = invariant_matching_at_origin(model, action, reference=reference)
+            d0 = invariant_matching_at_origin(model, action)
             signed = twisted_action(model, action, d0)
         except (NoInvariantMatchingError, OriginNotInPolygonError, MovedMatchingError) as exc:
             print(f"no invariant matching: {exc}", file=sys.stderr)
@@ -563,8 +550,12 @@ def cmd_matchings(args) -> int:
         return EXIT_VERIFY_FAILED
     reference = ms[0]
     heights = [height_change(model, m, reference) for m in ms]
-    char = characteristic_polygon(model, reference=reference, cap=args.cap)
-    zz = zigzag_polygon([p.slope for p in zigzag_paths(model)])
+    try:
+        char = convex_hull(heights)
+        zz = zigzag_polygon([p.slope for p in zigzag_paths(model)])
+    except (NotClosedError, NonPrimitiveSlopeError, DegenerateError) as exc:
+        print(f"polygon unavailable: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     doc = {
         "count": len(ms),
         "reference": list(reference),

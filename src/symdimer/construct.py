@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dimer import (
     BLACK,
@@ -35,12 +35,10 @@ from .dimer import (
 )
 from .lattice import (
     GROUP_TAGS,
-    IDENTITY,
     DegenerateError,
     GroupClassification,
     Mat2,
     Vec,
-    apply_matrix_to_polygon,
     canonical_group,
     classify_generators,
     contains_point,
@@ -56,16 +54,7 @@ from .lattice import (
     same_up_to_translation,
     translate_polygon,
 )
-from .matchings import (
-    DEFAULT_CAP,
-    CapExceededError,
-    NoInvariantMatchingError,
-    OriginNotInPolygonError,
-    characteristic_polygon,
-    enumerate_matchings,
-    height_change,
-    invariant_matching_at_origin,
-)
+from .matchings import CapExceededError, characteristic_polygon
 from .surgery import SurgeryError, corner_chop, cover, gulotta_cut
 from .zigzag import (
     NonPrimitiveSlopeError,
@@ -492,9 +481,7 @@ def select_envelope(
 class SymmetricDimer:
     """A consistent dimer model with a group action realizing a polygon.
 
-    polygon is the characteristic polygon in the caller's coordinates;
-    frame_polygon is the model's own zigzag polygon (exactly invariant
-    placement) and frame_shift moves the caller's polygon onto it."""
+    polygon is the characteristic polygon in the caller's coordinates."""
 
     model: DimerModel
     action: SymmetryAction
@@ -502,8 +489,6 @@ class SymmetricDimer:
     polygon: Tuple[Vec, ...]
     trace: List[dict]
     classification: GroupClassification
-    frame_polygon: Tuple[Vec, ...]
-    frame_shift: Vec
 
 
 def _poly_of(model: DimerModel) -> Tuple[Vec, ...]:
@@ -714,8 +699,7 @@ def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricD
         ) from exc
     out_poly = convex_hull([p.apply(v) for v in delta_can])
     out_frame = exact_invariant_frame(_poly_of(model), cls.elements)
-    shift_out = _align(out_frame, out_poly, cls.elements)
-    if shift_out is None:
+    if _align(out_frame, out_poly, cls.elements) is None:
         raise PlannerStuckError("final polygon sits in an unexpected frame", trace)
     ff = fixed_face(out_action)
     trace.append({"step": "done", "polygon": [list(v) for v in out_poly]})
@@ -726,8 +710,6 @@ def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricD
         polygon=out_poly,
         trace=trace,
         classification=cls,
-        frame_polygon=out_frame,
-        frame_shift=shift_out,
     )
 
 
@@ -849,30 +831,4 @@ def verify_bundle(
         polygon_match=polygon_match,
         fixed_face=ff,
         notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Invariant matchings
-
-
-def origin_matching(sym: SymmetricDimer, cap: int = DEFAULT_CAP):
-    """An invariant perfect matching sitting at the origin of the
-    polygon, for a symmetric model whose polygon contains the origin."""
-    if not contains_point(sym.polygon, (0, 0)):
-        raise OriginNotInPolygonError(
-            "the origin is not a lattice point of the polygon"
-        )
-    ms = enumerate_matchings(sym.model, cap=cap)
-    base = ms[0]
-    pts = [height_change(sym.model, m, base) for m in ms]
-    chull = convex_hull(pts)
-    frame = sym.frame_polygon
-    delta = (frame[0][0] - chull[0][0], frame[0][1] - chull[0][1])
-    s = (sym.frame_shift[0] - delta[0], sym.frame_shift[1] - delta[1])
-    candidates = [m for m, h in zip(ms, pts) if h == s]
-    if not candidates:
-        raise NoInvariantMatchingError("no matching sits at the origin")
-    return invariant_matching_at_origin(
-        sym.model, sym.action, reference=candidates[0], cap=cap
     )

@@ -19,7 +19,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .lattice import Mat2, Vec
+from .lattice import Mat2, Vec, _cross
 
 WHITE = "W"
 BLACK = "B"
@@ -308,10 +308,6 @@ def _scaled_segments(model: DimerModel):
     return scale, segs
 
 
-def _cross3(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _on_segment(a, b, p) -> bool:
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
@@ -321,10 +317,10 @@ def _on_segment(a, b, p) -> bool:
 
 def _segments_conflict(p1, p2, q1, q2) -> bool:
     """True unless the segments are disjoint or touch only at shared endpoints."""
-    d1 = _cross3(q1, q2, p1)
-    d2 = _cross3(q1, q2, p2)
-    d3 = _cross3(p1, p2, q1)
-    d4 = _cross3(p1, p2, q2)
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
@@ -542,12 +538,6 @@ class SymmetryAction:
         return sorted(ids or ())
 
 
-def apply_isometry(model: DimerModel, action: SymmetryAction, h: Mat2):
-    """Stored permutations (nodes, edges, faces) of one element."""
-    em = action._get(h)
-    return em.node_perm, em.edge_perm, em.face_perm
-
-
 def fixed_face(action: SymmetryAction) -> int:
     fixed = action.fixed_faces()
     if not fixed:
@@ -560,11 +550,11 @@ def _apply_affine(linear: Mat2, t: Pt, p: Pt) -> Pt:
     return (q[0] + t[0], q[1] + t[1])
 
 
-def _element_map(model: DimerModel, h: Mat2, linear: Mat2, t: Pt):
+def _element_map(model: DimerModel, h: Mat2, linear: Mat2, t: Pt, pos_index, edge_index):
     """Node and edge permutations of the affine map x -> linear x + t, or
-    None if the map does not preserve the model."""
+    None if the map does not preserve the model.  pos_index maps node
+    positions and edge_index (white, black, offset) keys to ids."""
     det = h.det()
-    pos_index = {n.pos: n.id for n in model.nodes}
     node_perm: Dict[int, int] = {}
     kappa: Dict[int, Vec] = {}
     for n in model.nodes:
@@ -579,7 +569,6 @@ def _element_map(model: DimerModel, h: Mat2, linear: Mat2, t: Pt):
             return None
         node_perm[n.id] = target
         kappa[n.id] = (int(img[0] - img_mod[0]), int(img[1] - img_mod[1]))
-    edge_index = {(e.white, e.black, e.offset): e.id for e in model.edges}
     edge_perm: Dict[int, int] = {}
     for e in model.edges:
         lo = linear.apply(e.offset)
@@ -672,6 +661,8 @@ def symmetry_actions(
     gens, words = _generating_words(elems)
     lin = {h: h.contragredient() for h in elems}
     face_list = faces(model)
+    pos_index = {n.pos: n.id for n in model.nodes}
+    edge_index = {(e.white, e.black, e.offset): e.id for e in model.edges}
     side_to_face = {}
     for f in face_list:
         for side in f.boundary:
@@ -700,7 +691,7 @@ def symmetry_actions(
             return None
         maps = {}
         for h in elems:
-            res = _element_map(model, h, lin[h], affine[h])
+            res = _element_map(model, h, lin[h], affine[h], pos_index, edge_index)
             if res is None:
                 return None
             node_perm, edge_perm = res

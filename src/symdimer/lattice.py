@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 Vec = Tuple[int, int]
 
@@ -392,15 +392,8 @@ def lattice_points(poly: Sequence[Vec]) -> List[Vec]:
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def primitive(v: Vec) -> Vec:
-    g = _gcd(v[0], v[1])
+    g = gcd(v[0], v[1])
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return (v[0] // g, v[1] // g)
@@ -414,7 +407,7 @@ def primitive_side_segments(poly: Sequence[Vec]) -> List[Tuple[Vec, Vec]]:
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
         d = (b[0] - a[0], b[1] - a[1])
-        g = _gcd(d[0], d[1])
+        g = gcd(d[0], d[1])
         step = (d[0] // g, d[1] // g)
         cur = a
         for _ in range(g):

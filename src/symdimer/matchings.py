@@ -8,10 +8,16 @@ c = sum(offsets of D) - sum(offsets of D0), ht = (-c_y, c_x).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dimer import BLACK, WHITE, DimerModel, SymmetryAction
-from .lattice import Vec, contains_point, convex_hull
+from .lattice import (
+    DegenerateError,
+    Vec,
+    contains_point,
+    convex_hull,
+    exact_invariant_frame,
+)
 
 Matching = Tuple[int, ...]
 
@@ -101,32 +107,12 @@ def height_change(model: DimerModel, matching: Iterable[int],
     return (-c[1], c[0])
 
 
-def characteristic_polygon(
-    model: DimerModel,
-    reference: Optional[Matching] = None,
-    cap: int = DEFAULT_CAP,
-):
-    """Hull of all height changes against the reference matching (the
-    first enumerated matching when none is given)."""
+def characteristic_polygon(model: DimerModel, cap: int = DEFAULT_CAP):
+    """Hull of all height changes against the first enumerated matching."""
     ms = enumerate_matchings(model, cap)
     if not ms:
         raise ValueError("model has no perfect matching")
-    if reference is None:
-        reference = ms[0]
-    pts = {height_change(model, m, reference) for m in ms}
-    return convex_hull(pts)
-
-
-def matchings_at(
-    model: DimerModel,
-    point: Vec,
-    reference: Optional[Matching] = None,
-    cap: int = DEFAULT_CAP,
-) -> List[Matching]:
-    ms = enumerate_matchings(model, cap)
-    if reference is None and ms:
-        reference = ms[0]
-    return [m for m in ms if height_change(model, m, reference) == tuple(point)]
+    return convex_hull({height_change(model, m, ms[0]) for m in ms})
 
 
 def apply_to_matching(action: SymmetryAction, h, matching: Iterable[int]) -> Matching:
@@ -155,12 +141,9 @@ def _edge_orbits(model: DimerModel, action: SymmetryAction) -> List[Tuple[int, .
 
 
 def _invariant_by_orbit_cover(
-    model: DimerModel,
-    action: SymmetryAction,
-    reference: Optional[Matching],
+    model: DimerModel, action: SymmetryAction
 ) -> Optional[Matching]:
-    """Search for an invariant perfect matching as a union of edge orbits.
-    With a reference, only matchings of zero height change qualify."""
+    """Search for an invariant perfect matching as a union of edge orbits."""
     orbits = [
         o for o in _edge_orbits(model, action)
         if len({n for eid in o for n in (model.edge(eid).white, model.edge(eid).black)})
@@ -184,10 +167,7 @@ def _invariant_by_orbit_cover(
     def search() -> Optional[Matching]:
         nid = next((n for n in node_order if n not in covered), None)
         if nid is None:
-            m = tuple(sorted(eid for i in chosen for eid in orbits[i]))
-            if reference is not None and height_change(model, m, reference) != (0, 0):
-                return None
-            return m
+            return tuple(sorted(eid for i in chosen for eid in orbits[i]))
         for i in by_node[nid]:
             ns = covers(i)
             if ns & covered:
@@ -207,34 +187,44 @@ def _invariant_by_orbit_cover(
 def invariant_matching_at_origin(
     model: DimerModel,
     action: SymmetryAction,
-    reference: Optional[Matching] = None,
     cap: int = DEFAULT_CAP,
 ) -> Matching:
-    """First enumerated perfect matching with zero height change that every
-    group element fixes setwise.  Falls back to an orbit-cover search when
-    enumeration does not fit in the cap."""
+    """First enumerated perfect matching at the origin that every group
+    element fixes setwise, from a single enumeration.
+
+    The origin is that of the group-invariant placement of the
+    characteristic polygon: the hull of the heights against the first
+    enumerated matching, moved by exact_invariant_frame so that every
+    element fixes it exactly.  Past the cap, an orbit-cover search returns
+    a G-invariant perfect matching whose height is not checked."""
     try:
         ms = enumerate_matchings(model, cap)
     except CapExceededError:
-        found = _invariant_by_orbit_cover(model, action, reference)
+        found = _invariant_by_orbit_cover(model, action)
         if found is None:
             raise NoInvariantMatchingError(
                 "no invariant matching found by orbit cover"
             ) from None
         return found
     if not ms:
-        raise ValueError("model has no perfect matching")
-    if reference is None:
-        reference = ms[0]
-    at_origin = [m for m in ms if height_change(model, m, reference) == (0, 0)]
+        raise NoInvariantMatchingError("model has no perfect matching")
+    heights = [height_change(model, m, ms[0]) for m in ms]
+    try:
+        hull = convex_hull(heights)
+        frame = exact_invariant_frame(hull, action.elements)
+    except (DegenerateError, ValueError) as exc:
+        raise NoInvariantMatchingError(
+            f"polygon has no invariant placement: {exc}"
+        ) from exc
+    # frame == hull - want, so the frame's (0,0) is the height want.
+    want = (hull[0][0] - frame[0][0], hull[0][1] - frame[0][1])
+    at_origin = [m for m, h in zip(ms, heights) if h == want]
     if not at_origin:
-        pts = {height_change(model, m, reference) for m in ms}
-        poly = convex_hull(pts)
-        if not contains_point(poly, (0, 0)):
+        if not contains_point(frame, (0, 0)):
             raise OriginNotInPolygonError(
                 "(0,0) lies outside the characteristic polygon"
             )
-        raise NoInvariantMatchingError("no matching has zero height change")
+        raise NoInvariantMatchingError("no matching sits at the origin")
     for m in at_origin:
         fixed = frozenset(m)
         if all(

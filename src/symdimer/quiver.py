@@ -17,7 +17,7 @@ perfect matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .dimer import (
     WHITE,

@@ -10,7 +10,6 @@ is accepted.
 import heapq
 import itertools
 import math
-import os
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -100,22 +99,23 @@ def _apply_rational(m, v):
     )
 
 
+def _coset_rep(s: Mat2, inv, v: Vec) -> Vec:
+    """v reduced modulo the columns of s: v - s*floor(s^{-1} v), where inv
+    is the rational inverse of s."""
+    w = _apply_rational(inv, v)
+    sf = s.apply((math.floor(w[0]), math.floor(w[1])))
+    return (v[0] - sf[0], v[1] - sf[1])
+
+
 def _coset_representatives(s: Mat2) -> List[Vec]:
     """Representatives of Z^2 modulo the sublattice spanned by the columns
-    of s, reduced with rep(v) = v - s*floor(s^{-1} v)."""
+    of s, reduced with _coset_rep."""
     k = abs(s.det())
     inv = _rational_inverse(s)
-
-    def rep(v: Vec) -> Vec:
-        w = _apply_rational(inv, v)
-        f = (math.floor(w[0]), math.floor(w[1]))
-        sf = s.apply(f)
-        return (v[0] - sf[0], v[1] - sf[1])
-
     seen = []
     for a in range(k):
         for b in range(k):
-            r = rep((a, b))
+            r = _coset_rep(s, inv, (a, b))
             if r not in seen:
                 seen.append(r)
     if len(seen) != k:
@@ -141,12 +141,6 @@ def cover(model: DimerModel, s: Mat2) -> DimerModel:
     index = {r: i for i, r in enumerate(reps)}
     inv = _rational_inverse(s)
 
-    def rep_of(v: Vec) -> Vec:
-        w = _apply_rational(inv, v)
-        f = (math.floor(w[0]), math.floor(w[1]))
-        sf = s.apply(f)
-        return (v[0] - sf[0], v[1] - sf[1])
-
     # Exact position and its integer part for each (node, coset) pair.
     pos: Dict[Tuple[int, int], Tuple[Fraction, Fraction]] = {}
     whole: Dict[Tuple[int, int], Vec] = {}
@@ -164,7 +158,7 @@ def cover(model: DimerModel, s: Mat2) -> DimerModel:
     for e in model.edges:
         for ci, r in enumerate(reps):
             target = (r[0] + e.offset[0], r[1] + e.offset[1])
-            r2 = rep_of(target)
+            r2 = _coset_rep(s, inv, target)
             ci2 = index[r2]
             jump = _apply_rational(
                 inv, (target[0] - r2[0], target[1] - r2[1])
@@ -373,18 +367,8 @@ def triangle_cut_target(
 # ---------------------------------------------------------------------------
 # Verified cutting engine
 
-DEFAULT_SEARCH_BUDGET = 100000
-
-
-def search_budget() -> int:
-    """Maximum candidate selections a cut search may try.  The
-    DIMER_SEARCH_BUDGET environment variable overrides the default."""
-    raw = os.environ.get("DIMER_SEARCH_BUDGET", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SEARCH_BUDGET
-    return value if value > 0 else DEFAULT_SEARCH_BUDGET
+# Maximum candidate selections a cut search may try.
+SEARCH_BUDGET = 100000
 
 
 def _orbit_edges(action: Optional[SymmetryAction], seed: Set[int]) -> Set[int]:
@@ -475,7 +459,6 @@ def gulotta_cut(
     target = normalize_translation(target)
     fam_out = [p for p in paths if p.slope == _side_normal(d_out)]
     fam_in = [p for p in paths if p.slope == _side_normal(d_in)]
-    budget = search_budget()
     tried = 0
     for sel_out in itertools.combinations(fam_out, k):
         for sel_in in itertools.combinations(fam_in, m):
@@ -493,9 +476,9 @@ def gulotta_cut(
             if not ok:
                 continue
             tried += 1
-            if tried > budget:
+            if tried > SEARCH_BUDGET:
                 raise SearchExhaustedError(
-                    f"cut search exceeded its budget of {budget} selections"
+                    f"cut search exceeded its budget of {SEARCH_BUDGET} selections"
                 )
             cut = _try_cut(model, _orbit_edges(action, seed), target, accept)
             if cut is not None:
@@ -555,7 +538,6 @@ def corner_chop(
             f"no zigzag paths with the corner's side slopes "
             f"{_side_normal(d_out)} and {_side_normal(d_in)}"
         )
-    budget = search_budget()
     tried = 0
     for z1 in fam_out:
         shared1 = set(z1.edge_ids())
@@ -564,9 +546,9 @@ def corner_chop(
             if not seed:
                 continue
             tried += 1
-            if tried > budget:
+            if tried > SEARCH_BUDGET:
                 raise SearchExhaustedError(
-                    f"chop search exceeded its budget of {budget} pairs"
+                    f"chop search exceeded its budget of {SEARCH_BUDGET} pairs"
                 )
             doomed = _orbit_edges(action, seed)
             cut = _try_cut(model, doomed, want, accept)

@@ -97,10 +97,6 @@ def zigzag_paths(model: DimerModel) -> List[ZigzagPath]:
     return out
 
 
-def slope(path: ZigzagPath) -> Vec:
-    return path.slope
-
-
 def zigzag_polygon(slopes: Iterable[Vec]):
     """Polygon whose primitive outward side normals are the given slopes,
     anchored with its lexicographically smallest corner at the origin."""
@@ -359,11 +355,3 @@ def consistency_via_cover(
                 if hit:
                     break
     return (not reasons, reasons)
-
-
-def is_properly_ordered(model: DimerModel) -> bool:
-    """True when every zigzag failure mode is absent (the combinatorial
-    consistency test: no trivial or non-primitive slopes, no pair of paths
-    sharing more than one edge, and parallel strands in cyclic slope order
-    around every node)."""
-    return check_consistency(model).consistent

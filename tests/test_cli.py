@@ -1,6 +1,7 @@
 """End-to-end tests of the command line and the JSON file formats."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,10 @@ from symdimer.cli_io import (
     render_svg,
     render_tikz,
 )
-from symdimer.construct import CATALOG
+from symdimer import cli_io, matchings
+from symdimer.construct import CATALOG, hexagonal_model
+from symdimer.dimer import DimerModel, Edge, Node
+from symdimer.lattice import canonical_group
 
 
 def write_json(path, doc):
@@ -262,6 +266,69 @@ def test_quiver_twist_requires_group_metadata(tmp_path, capsys):
     code, _, err = run(capsys, ["quiver", "--model", path, "--twist"])
     assert code == 1
     assert "metadata" in err
+
+
+def without_edge_0(model):
+    return DimerModel(list(model.nodes), [e for e in model.edges if e.id != 0])
+
+
+def one_white_two_blacks():
+    """Unbalanced colours, so no perfect matching at all."""
+    q = Fraction(1, 4)
+    nodes = [Node(0, "W", (q, q)), Node(1, "B", (3 * q, q)), Node(2, "B", (2 * q, 3 * q))]
+    edges = [Edge(0, 0, 1, (0, 0)), Edge(1, 0, 2, (0, 0)), Edge(2, 0, 1, (-1, 0))]
+    return DimerModel(nodes, edges)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [without_edge_0(hexagonal_model()), one_white_two_blacks()],
+    ids=["heights_on_a_segment", "no_perfect_matching"],
+)
+def test_quiver_twist_on_a_degenerate_polygon_exits_five(tmp_path, capsys, model):
+    path = model_file(tmp_path, "bad.json", model, {"generators": []})
+    code, _, err = run(capsys, ["quiver", "--model", path, "--twist"])
+    assert code == 5
+    assert "no invariant matching" in err
+
+
+@pytest.mark.parametrize("name", ["hexagonal", "octagon"])
+def test_matchings_on_a_degenerate_polygon_exits_four(tmp_path, capsys, name):
+    # Without edge 0 the hexagonal model's heights span no polygon and the
+    # octagon model has a zigzag path of non-primitive slope.
+    path = model_file(tmp_path, "bad.json", without_edge_0(CATALOG[name]()))
+    code, out, err = run(capsys, ["matchings", "--model", path])
+    assert code == 4
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_quiver_on_edges_leaving_at_one_angle_exits_one(tmp_path, capsys):
+    model = hexagonal_model()
+    bad = DimerModel(list(model.nodes), list(model.edges) + [Edge(3, 0, 1, (-1, -1))])
+    path = model_file(tmp_path, "bad.json", bad)
+    code, out, err = run(capsys, ["quiver", "--model", path])
+    assert code == 1
+    assert out == ""
+    assert "same angle" in err
+
+
+@pytest.mark.parametrize("argv", [["quiver", "--twist"], ["matchings"]])
+def test_commands_enumerate_the_matchings_once(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    real = matchings.enumerate_matchings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matchings, "enumerate_matchings", counted)
+    monkeypatch.setattr(cli_io, "enumerate_matchings", counted)
+    meta = {"generators": [list(g.rows()) for g in canonical_group("D8")]}
+    path = model_file(tmp_path, "oct.json", CATALOG["octagon"](), meta)
+    code, _, _ = run(capsys, [argv[0], "--model", path] + argv[1:])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_matchings_of_the_unit_hexagonal_model(tmp_path, capsys):

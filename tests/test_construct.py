@@ -1,7 +1,5 @@
 """Envelope planning, symmetric synthesis, and bundle verification."""
 
-import dataclasses
-
 import pytest
 
 from symdimer.construct import (
@@ -9,7 +7,6 @@ from symdimer.construct import (
     NotInvariantError,
     UnsupportedGroupError,
     hexagonal_model,
-    origin_matching,
     select_envelope,
     square_model,
     synthesize,
@@ -25,8 +22,8 @@ from symdimer.lattice import (
     same_up_to_translation,
 )
 from symdimer.matchings import (
-    OriginNotInPolygonError,
     apply_to_matching,
+    invariant_matching_at_origin,
     is_perfect_matching,
 )
 from symdimer.zigzag import check_consistency, zigzag_paths, zigzag_polygon
@@ -196,17 +193,7 @@ def test_verify_bundle_without_action_checks_the_model_alone():
 def test_origin_matching_is_invariant():
     sq = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
     sd = synthesize(sq, list(canonical_group("C2")))
-    matching = origin_matching(sd)
+    matching = invariant_matching_at_origin(sd.model, sd.action)
     assert is_perfect_matching(sd.model, matching)
     for h in sd.action.elements:
         assert apply_to_matching(sd.action, h, matching) == tuple(sorted(matching))
-
-
-def test_origin_matching_requires_the_origin():
-    sq = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-    sd = synthesize(sq, list(canonical_group("C2")))
-    shifted = dataclasses.replace(
-        sd, polygon=tuple((x + 5, y + 5) for x, y in sd.polygon)
-    )
-    with pytest.raises(OriginNotInPolygonError):
-        origin_matching(shifted)

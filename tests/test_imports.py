@@ -1,0 +1,50 @@
+"""Every import in the library is used by the module that makes it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "symdimer"
+
+
+def unused_imports(source: str):
+    """Names bound by import statements that the module never reads.
+
+    Imports from __future__ and names listed in __all__ are exempt; a name
+    read only inside a string annotation counts as unused."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(
+        (line, name) for name, line in bound.items() if name not in used | exported
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import List, Tuple\n"
+        "__all__ = ['Tuple']\n"
+        "x: List[int] = []\n"
+    )
+    assert unused_imports(source) == [(2, "os")]

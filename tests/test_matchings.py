@@ -11,17 +11,33 @@ from symdimer.construct import (
     octagon_model,
     square_model,
 )
-from symdimer.dimer import WHITE, DimerModel, Edge, Node, find_symmetry, frac_pt
-from symdimer.lattice import canonical_group, normalize_translation
+from symdimer.dimer import (
+    WHITE,
+    DimerModel,
+    Edge,
+    NoFixedFaceError,
+    Node,
+    NotSymmetricError,
+    find_symmetry,
+    frac_pt,
+)
+from symdimer.lattice import (
+    GROUP_TAGS,
+    canonical_group,
+    convex_hull,
+    exact_invariant_frame,
+    normalize_translation,
+)
 from symdimer.matchings import (
     CapExceededError,
+    NoInvariantMatchingError,
+    OriginNotInPolygonError,
     apply_to_matching,
     characteristic_polygon,
     enumerate_matchings,
     height_change,
     invariant_matching_at_origin,
     is_perfect_matching,
-    matchings_at,
     max_weight_perfect_matching,
     support,
 )
@@ -135,16 +151,19 @@ def test_characteristic_polygons():
 def test_reference_shift_translates_polygon():
     model = octagon_model()
     ms = enumerate_matchings(model)
-    a = characteristic_polygon(model, reference=ms[0])
-    b = characteristic_polygon(model, reference=ms[1])
+    a = convex_hull({height_change(model, m, ms[0]) for m in ms})
+    b = convex_hull({height_change(model, m, ms[1]) for m in ms})
+    assert a == characteristic_polygon(model)
     assert normalize_translation(a) == normalize_translation(b)
 
 
 def test_matchings_at_corners_are_unique():
     model = octagon_model()
+    ms = enumerate_matchings(model)
+    heights = [height_change(model, m, ms[0]) for m in ms]
     for corner in [(-1, 0), (0, -1), (1, 0), (0, 1)]:
-        assert len(matchings_at(model, corner)) == 1
-    assert len(matchings_at(model, (0, 0))) == 9 - 4
+        assert heights.count(corner) == 1
+    assert heights.count((0, 0)) == 9 - 4
 
 
 def test_matching_action_equivariance():
@@ -183,6 +202,52 @@ def test_invariant_matching_orbit_fallback():
     full = invariant_matching_at_origin(model, action)
     assert full == (0, 2, 4, 6, 8, 10)
     assert invariant_matching_at_origin(model, action, cap=2) == full
+
+
+def two_pass_origin_matching(model, action):
+    """Independent route to the invariant origin matching, in two
+    enumerations: find some matching at the origin of the invariant frame,
+    then re-enumerate and keep the matchings of zero height change against
+    it.  None when the polygon has no invariant placement or no such
+    matching is fixed by the group."""
+    ms = enumerate_matchings(model)
+    heights = [height_change(model, m, ms[0]) for m in ms]
+    hull = convex_hull(heights)
+    try:
+        frame = exact_invariant_frame(hull, action.elements)
+    except ValueError:
+        return None
+    want = (hull[0][0] - frame[0][0], hull[0][1] - frame[0][1])
+    anchor = next((m for m, h in zip(ms, heights) if h == want), None)
+    if anchor is None:
+        return None
+    for m in enumerate_matchings(model):
+        if height_change(model, m, anchor) != (0, 0):
+            continue
+        if all(apply_to_matching(action, h, m) == m for h in action.elements):
+            return m
+    return None
+
+
+def test_origin_matching_agrees_with_the_two_pass_reference():
+    checked = 0
+    for name, mk in ALL_MODELS:
+        model = mk()
+        for tag in GROUP_TAGS:
+            try:
+                action = find_symmetry(
+                    model, canonical_group(tag), require_fixed_face=True
+                )
+            except (NotSymmetricError, NoFixedFaceError):
+                continue
+            want = two_pass_origin_matching(model, action)
+            try:
+                got = invariant_matching_at_origin(model, action)
+            except (NoInvariantMatchingError, OriginNotInPolygonError):
+                got = None
+            assert got == want, (name, tag)
+            checked += 1
+    assert checked >= len(ALL_MODELS)
 
 
 @pytest.mark.parametrize("name,mk", ALL_MODELS)

@@ -161,8 +161,7 @@ def test_relations_are_equivariant_under_the_full_dihedral_action():
 def test_twisted_action_flips_signs_exactly_on_the_matching():
     model = octagon_model()
     act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
-    reference = enumerate_matchings(model)[0]
-    d0 = invariant_matching_at_origin(model, act, reference=reference)
+    d0 = invariant_matching_at_origin(model, act)
     sam = twisted_action(model, act, d0)
     assert sam.ok
     assert sam.matching == tuple(sorted(d0))
@@ -178,8 +177,7 @@ def test_twisted_action_certificate_balances_path_signs():
     model = octagon_model()
     q = quiver_of(model)
     act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
-    reference = enumerate_matchings(model)[0]
-    d0 = invariant_matching_at_origin(model, act, reference=reference)
+    d0 = invariant_matching_at_origin(model, act)
     sam = twisted_action(model, act, d0)
     for h in act.elements:
         for rel in q.relations:
@@ -189,8 +187,7 @@ def test_twisted_action_certificate_balances_path_signs():
 def test_twisted_action_rejects_a_moved_matching():
     model = octagon_model()
     act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
-    reference = enumerate_matchings(model)[0]
-    d0 = invariant_matching_at_origin(model, act, reference=reference)
+    d0 = invariant_matching_at_origin(model, act)
     moved = next(
         m
         for m in enumerate_matchings(model)
