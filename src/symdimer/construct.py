@@ -54,7 +54,7 @@ from .lattice import (
     same_up_to_translation,
     translate_polygon,
 )
-from .matchings import CapExceededError, characteristic_polygon
+from .matchings import characteristic_polygon
 from .surgery import SurgeryError, corner_chop, cover, gulotta_cut
 from .zigzag import (
     NonPrimitiveSlopeError,
@@ -748,13 +748,15 @@ def verify_bundle(
     model: DimerModel,
     action=None,
     polygon: Optional[Sequence[Vec]] = None,
-    cap: int = 20000,
 ) -> Report:
     """Re-check a model from scratch: well-formedness, consistency, the
     two polygon computations, the group action, and the target polygon.
 
-    action may be a SymmetryAction or a sequence of generator matrices;
-    every check reports rather than raises."""
+    The characteristic polygon comes from the matching oracle, so it is
+    compared with the zigzag polygon on every valid model that has a
+    perfect matching and a 2-dimensional height hull, whatever its number
+    of matchings.  action may be a SymmetryAction or a sequence of
+    generator matrices; every check reports rather than raises."""
     notes: List[str] = []
     res = validate(model)
     valid = res.ok
@@ -776,9 +778,7 @@ def verify_bundle(
     char_match = None
     if valid:
         try:
-            char = normalize_translation(characteristic_polygon(model, cap=cap))
-        except CapExceededError:
-            notes.append("matching enumeration capped; characteristic polygon skipped")
+            char = normalize_translation(characteristic_polygon(model))
         except (ValueError, DegenerateError) as exc:
             notes.append(f"characteristic polygon unavailable: {exc}")
         if char is not None and zz is not None:

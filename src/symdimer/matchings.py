@@ -1,9 +1,12 @@
 """Perfect matchings, height changes, and the characteristic polygon.
 
-The height change of a matching D against a reference D0 is the homology
-class of the difference cycle read through edge offsets, rotated a
-quarter turn so that it lives in the polygon lattice: with
-c = sum(offsets of D) - sum(offsets of D0), ht = (-c_y, c_x).
+The height of a matching D is the sum c of its edge offsets, rotated a
+quarter turn so that it lives in the polygon lattice: ht(D) = (-c_y, c_x).
+The height change of D against a reference D0 is ht(D) - ht(D0), the
+homology class of the difference cycle D - D0.  The characteristic
+polygon is the hull of the heights; it is found from a maximum-weight
+matching oracle, and the enumeration here serves the commands that need
+the matchings themselves.
 """
 
 from __future__ import annotations
@@ -107,12 +110,43 @@ def height_change(model: DimerModel, matching: Iterable[int],
     return (-c[1], c[0])
 
 
-def characteristic_polygon(model: DimerModel, cap: int = DEFAULT_CAP):
-    """Hull of all height changes against the first enumerated matching."""
-    ms = enumerate_matchings(model, cap)
-    if not ms:
-        raise ValueError("model has no perfect matching")
-    return convex_hull({height_change(model, m, ms[0]) for m in ms})
+def characteristic_polygon(model: DimerModel) -> Tuple[Vec, ...]:
+    """Convex hull of the absolute heights ht(D) of all perfect matchings,
+    as convex_hull returns it: the Newton polygon of the dimer model
+    (Kenyon, Okounkov and Sheffield, arXiv:math-ph/0311005).
+
+    Nothing is enumerated.  The hull is gift-wrapped with the support
+    oracle: the four axis directions first, then the outward normal of
+    each hull edge, keeping a returned height only when it lies strictly
+    beyond that edge, until no edge grows; while the heights found are
+    collinear, both normals of their segment are queried.  About
+    2 x (hull edges) + 4 oracle queries, in exact ints.  ValueError if
+    there is no perfect matching, DegenerateError if the heights span no
+    polygon."""
+    points = {
+        height_change(model, support(model, (), u)[1], ())
+        for u in ((1, 0), (0, 1), (-1, 0), (0, -1))
+    }
+    settled = set()
+    while True:
+        try:
+            hull = convex_hull(points)
+        except DegenerateError:
+            # Collinear so far: the segment's two edges query both normals.
+            hull = (min(points), max(points))
+        grown = False
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            if (a, b) in settled:
+                continue
+            n = (b[1] - a[1], a[0] - b[0])
+            value, m = support(model, (), n)
+            if value > n[0] * a[0] + n[1] * a[1]:
+                points.add(height_change(model, m, ()))
+                grown = True
+            else:
+                settled.add((a, b))
+        if not grown:
+            return convex_hull(points)
 
 
 def apply_to_matching(action: SymmetryAction, h, matching: Iterable[int]) -> Matching:
@@ -238,7 +272,8 @@ def invariant_matching_at_origin(
 
 
 # ---------------------------------------------------------------------------
-# Maximum-weight perfect matching (for support values of large models)
+# Maximum-weight perfect matching: the linear-optimisation oracle over the
+# heights, from which the characteristic polygon is built
 
 _BIG = 1 << 40
 
@@ -332,7 +367,8 @@ def support(
     model: DimerModel, reference: Matching, direction: Vec
 ) -> Tuple[int, Matching]:
     """Maximum of <ht(D, reference), direction> over all matchings D,
-    together with a matching attaining it."""
+    together with a matching attaining it.  reference=() gives the
+    absolute height ht(D).  ValueError if there is no perfect matching."""
     ux, uy = direction
     weights = {
         e.id: e.offset[0] * uy - e.offset[1] * ux for e in model.edges
@@ -342,3 +378,4 @@ def support(
         raise ValueError("model has no perfect matching")
     value = sum(weights[e] for e in m) - sum(weights[e] for e in reference)
     return value, m
+

@@ -16,7 +16,8 @@ from symdimer.cli_io import (
 from symdimer import cli_io, matchings
 from symdimer.construct import CATALOG, hexagonal_model
 from symdimer.dimer import DimerModel, Edge, Node
-from symdimer.lattice import canonical_group
+from symdimer.lattice import Mat2, canonical_group
+from symdimer.surgery import cover
 
 
 def write_json(path, doc):
@@ -182,6 +183,17 @@ def test_verify_accepts_a_catalog_model_alone(tmp_path, capsys):
     assert doc["consistent"] is True
     assert doc["char_matches_zigzag"] is True
     assert doc["symmetric"] is None
+
+
+def test_verify_checks_the_polygon_past_twenty_thousand_matchings(tmp_path, capsys):
+    model = cover(CATALOG["square"](), Mat2(4, 0, 0, 4))
+    path = model_file(tmp_path, "model.json", model)
+    code, out, _ = run(capsys, ["verify", "--model", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["char_polygon"] is not None
+    assert doc["char_matches_zigzag"] is True
+    assert doc["notes"] == []
 
 
 def test_verify_reports_the_first_failing_check(tmp_path, capsys):

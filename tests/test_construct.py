@@ -2,6 +2,7 @@
 
 import pytest
 
+from symdimer import matchings
 from symdimer.construct import (
     CATALOG,
     NotInvariantError,
@@ -13,7 +14,7 @@ from symdimer.construct import (
     transform_model,
     verify_bundle,
 )
-from symdimer.dimer import faces, validate
+from symdimer.dimer import DimerModel, faces, validate
 from symdimer.lattice import (
     Mat2,
     canonical_group,
@@ -26,6 +27,7 @@ from symdimer.matchings import (
     invariant_matching_at_origin,
     is_perfect_matching,
 )
+from symdimer.surgery import cover
 from symdimer.zigzag import check_consistency, zigzag_paths, zigzag_polygon
 
 
@@ -188,6 +190,84 @@ def test_verify_bundle_without_action_checks_the_model_alone():
     assert rep.ok
     assert rep.symmetric is None
     assert rep.polygon_match is None
+
+
+@pytest.mark.parametrize("name,a,d", [("square", 4, 4), ("hexagonal", 1, 15)])
+def test_verify_bundle_checks_models_with_many_matchings(name, a, d, monkeypatch):
+    # 32 and 30 nodes, both past 20 000 perfect matchings; the oracle
+    # finds the polygon without listing them.
+    model = cover(CATALOG[name](), Mat2(a, 0, 0, d))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_bundle enumerated the matchings")
+
+    monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
+    rep = verify_bundle(model)
+    assert rep.char_matches_zigzag is True
+    assert rep.char_polygon == rep.zigzag_polygon == poly_of(model)
+    assert not any("capped" in note for note in rep.notes)
+    assert rep.ok
+
+
+# verify_bundle on each catalog model without one edge:
+# (model, edge) -> (valid, consistent, char polygon, char matches zigzag, notes)
+_OFFSET = ("faces with nonzero offset [0, 1]", "Euler count V-E+F = 2 != 0")
+_FEW = ("zigzag polygon unavailable: fewer than 3 distinct points",)
+
+
+def _slope(s):
+    return (f"zigzag polygon unavailable: slope {s} is not primitive",)
+
+
+EDGE_DELETION_REPORTS = {
+    ("hexagonal", 0): (False, None, None, None, _OFFSET),
+    ("hexagonal", 1): (False, None, None, None, _OFFSET),
+    ("hexagonal", 2): (False, None, None, None, _OFFSET),
+    ("square", 0): (True, True, ((0, 0), (1, 0), (1, 1)), True, ()),
+    ("square", 1): (True, True, ((0, 0), (1, -1), (1, 0)), True, ()),
+    ("square", 2): (True, True, ((0, 0), (1, 0), (0, 1)), True, ()),
+    ("square", 3): (True, True, ((0, 0), (1, 1), (0, 1)), True, ()),
+    ("octagon", 0): (True, False, ((0, 0), (1, 1), (0, 2)), None, _slope((-2, 0))),
+    ("octagon", 1): (True, False, ((0, 0), (2, 0), (1, 1)), None, _slope((0, -2))),
+    ("octagon", 2): (True, False, ((0, 0), (1, -1), (1, 1)), None, _slope((2, 0))),
+    ("octagon", 3): (True, False, ((0, 0), (1, -1), (2, 0)), None, _slope((0, 2))),
+    ("octagon", 4): (True, False, ((0, 0), (1, -1), (1, 1)), None, _slope((2, 0))),
+    ("octagon", 5): (True, False, ((0, 0), (1, -1), (2, 0)), None, _slope((0, 2))),
+    ("octagon", 6): (True, False, ((0, 0), (1, 1), (0, 2)), None, _slope((-2, 0))),
+    ("octagon", 7): (True, False, ((0, 0), (2, 0), (1, 1)), None, _slope((0, -2))),
+    ("octagon", 8): (True, False, ((0, 0), (1, 0), (0, 1)), None, _FEW),
+    ("octagon", 9): (True, False, ((0, 0), (1, 0), (1, 1)), None, _FEW),
+    ("octagon", 10): (True, False, ((0, 0), (1, -1), (1, 0)), None, _FEW),
+    ("octagon", 11): (True, False, ((0, 0), (1, 1), (0, 1)), None, _FEW),
+    ("dodecagon", 0): (True, False, ((0, 0), (1, 0), (1, 1), (0, 1)), True, ()),
+    ("dodecagon", 1): (True, False, ((0, 0), (2, 0), (2, 1), (1, 1)), True, ()),
+    ("dodecagon", 2): (True, False, ((0, 0), (1, 0), (2, 1), (1, 1)), True, ()),
+    ("dodecagon", 3): (True, False, ((0, 0), (2, 2), (1, 2), (0, 1)), True, ()),
+    ("dodecagon", 4): (True, False, ((0, 0), (1, 1), (1, 2), (0, 1)), True, ()),
+    ("dodecagon", 5): (True, False, ((0, 0), (1, 0), (1, 2), (0, 1)), True, ()),
+    ("dodecagon", 6): (True, False, ((0, 0), (1, 0), (1, 1), (0, 1)), True, ()),
+    ("dodecagon", 7): (True, False, ((0, 0), (1, 0), (2, 1), (0, 1)), True, ()),
+    ("dodecagon", 8): (True, False, ((0, 0), (1, 0), (2, 1), (1, 1)), True, ()),
+    ("dodecagon", 9): (True, False, ((0, 0), (1, 0), (2, 1), (2, 2)), True, ()),
+    ("dodecagon", 10): (True, False, ((0, 0), (1, 1), (1, 2), (0, 1)), True, ()),
+    ("dodecagon", 11): (True, False, ((0, 0), (1, 1), (1, 2), (0, 2)), True, ()),
+    ("dodecagon", 12): (True, True, ((0, 0), (1, 0), (2, 1), (2, 2), (0, 1)), True, ()),
+    ("dodecagon", 13): (True, True, ((0, 0), (2, 1), (2, 2), (1, 2), (0, 1)), True, ()),
+    ("dodecagon", 14): (True, True, ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2)), True, ()),
+    ("dodecagon", 15): (True, True, ((0, 0), (1, 0), (2, 2), (1, 2), (0, 1)), True, ()),
+    ("dodecagon", 16): (True, True, ((0, 0), (1, -1), (2, 0), (2, 1), (1, 1)), True, ()),
+    ("dodecagon", 17): (True, True, ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1)), True, ()),
+}
+
+
+@pytest.mark.parametrize("name,eid", sorted(EDGE_DELETION_REPORTS))
+def test_verify_bundle_on_edge_deletions(name, eid):
+    model = CATALOG[name]()
+    cut = DimerModel(model.nodes, [e for e in model.edges if e.id != eid])
+    rep = verify_bundle(cut)
+    got = (rep.valid_dimer, rep.consistent, rep.char_polygon,
+           rep.char_matches_zigzag, tuple(rep.notes))
+    assert got == EDGE_DELETION_REPORTS[name, eid]
 
 
 def test_origin_matching_is_invariant():

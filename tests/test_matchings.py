@@ -10,6 +10,7 @@ from symdimer.construct import (
     hexagonal_model,
     octagon_model,
     square_model,
+    verify_bundle,
 )
 from symdimer.dimer import (
     WHITE,
@@ -23,6 +24,8 @@ from symdimer.dimer import (
 )
 from symdimer.lattice import (
     GROUP_TAGS,
+    DegenerateError,
+    Mat2,
     canonical_group,
     convex_hull,
     exact_invariant_frame,
@@ -41,6 +44,7 @@ from symdimer.matchings import (
     max_weight_perfect_matching,
     support,
 )
+from symdimer.surgery import cover
 
 ALL_MODELS = [
     ("hexagonal", hexagonal_model),
@@ -113,7 +117,15 @@ def test_unbalanced_colors_give_no_matchings():
         Edge(1, 0, 2, (0, 0)),
         Edge(2, 0, 1, (-1, 0)),
     ]
-    assert enumerate_matchings(DimerModel(nodes, edges)) == []
+    model = DimerModel(nodes, edges)
+    assert enumerate_matchings(model) == []
+    with pytest.raises(ValueError, match="^model has no perfect matching$"):
+        characteristic_polygon(model)
+    assert verify_bundle(model).notes == [
+        "univalent nodes [2]",
+        "faces with nonzero offset [0, 1]",
+        "Euler count V-E+F = 2 != 0",
+    ]
 
 
 def test_height_changes_hexagonal():
@@ -146,6 +158,61 @@ def test_characteristic_polygons():
     assert characteristic_polygon(dodecagon_model()) == (
         (-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0),
     )
+
+
+def enumerated_polygon(model):
+    """Reference characteristic polygon: the hull of the absolute heights
+    of every enumerated perfect matching."""
+    ms = enumerate_matchings(model)
+    if not ms:
+        raise ValueError("model has no perfect matching")
+    return convex_hull({height_change(model, m, ()) for m in ms})
+
+
+def without_edge(model, eid):
+    return DimerModel(model.nodes, [e for e in model.edges if e.id != eid])
+
+
+def differential_cases():
+    """The catalog models with their Hermite-normal-form covers of index
+    at most 3 (2 for the dodecagon; index 1 is the model itself), and
+    every single-edge deletion of the catalog models that keeps a
+    perfect matching."""
+    for name, mk in ALL_MODELS:
+        model = mk()
+        top = 2 if name == "dodecagon" else 3
+        for a in range(1, top + 1):
+            for d in range(1, top // a + 1):
+                for b in range(a):
+                    yield (name, (a, b, d)), cover(model, Mat2(a, b, 0, d))
+        for e in model.edges:
+            cut = without_edge(model, e.id)
+            if enumerate_matchings(cut):
+                yield (name, "without", e.id), cut
+
+
+def test_oracle_polygon_agrees_with_enumeration():
+    outcomes = set()
+    for label, model in differential_cases():
+        try:
+            want = enumerated_polygon(model)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                characteristic_polygon(model)
+            outcomes.add("degenerate")
+            continue
+        assert characteristic_polygon(model) == want, label
+        outcomes.add("polygon")
+    assert outcomes == {"polygon", "degenerate"}
+
+
+def test_collinear_heights_are_degenerate():
+    # Three collinear heights (-2,0), (-1,0), (0,0) on a double cover.
+    model = cover(without_edge(hexagonal_model(), 1), Mat2(2, 0, 0, 1))
+    heights = {height_change(model, m, ()) for m in enumerate_matchings(model)}
+    assert heights == {(-2, 0), (-1, 0), (0, 0)}
+    with pytest.raises(DegenerateError):
+        characteristic_polygon(model)
 
 
 def test_reference_shift_translates_polygon():
