@@ -261,6 +261,20 @@ def _fmt(value: Fraction) -> str:
     return f"{float(value):.4f}"
 
 
+def _torus_copies(model: DimerModel):
+    """What both renderers draw: every edge segment, then every node's
+    (position, color), in the nine unit translates of the fundamental
+    square around it."""
+    shifts = [(tx, ty) for tx in (-1, 0, 1) for ty in (-1, 0, 1)]
+    segments = []
+    for tx, ty in shifts:
+        for e in model.edges:
+            (wx, wy), (bx, by) = edge_segment(model, e)
+            segments.append(((wx + tx, wy + ty), (bx + tx, by + ty)))
+    dots = [((n.pos[0] + tx, n.pos[1] + ty), n.color) for tx, ty in shifts for n in model.nodes]
+    return segments, dots
+
+
 def render_svg(model: DimerModel, margin: Fraction = MARGIN) -> str:
     """SVG 1.1 drawing of the model on its torus.
 
@@ -284,28 +298,25 @@ def render_svg(model: DimerModel, margin: Fraction = MARGIN) -> str:
         f'<rect x="{x0}" y="{y0}" width="{side}" height="{side}" '
         'fill="none" stroke="#888" stroke-width="1" stroke-dasharray="6 4"/>'
     )
-    shifts = [(tx, ty) for tx in (-1, 0, 1) for ty in (-1, 0, 1)]
-    for tx, ty in shifts:
-        for e in model.edges:
-            (wx, wy), (bx, by) = edge_segment(model, e)
-            ax, ay = px(wx + tx, wy + ty)
-            cx, cy = px(bx + tx, by + ty)
-            lines.append(
-                f'<line x1="{ax}" y1="{ay}" x2="{cx}" y2="{cy}" '
-                'stroke="black" stroke-width="2"/>'
-            )
+    segments, dots = _torus_copies(model)
+    for w, b in segments:
+        ax, ay = px(*w)
+        cx, cy = px(*b)
+        lines.append(
+            f'<line x1="{ax}" y1="{ay}" x2="{cx}" y2="{cy}" '
+            'stroke="black" stroke-width="2"/>'
+        )
     radius = _fmt(Fraction(_SCALE, 40))
-    for tx, ty in shifts:
-        for n in model.nodes:
-            cx, cy = px(n.pos[0] + tx, n.pos[1] + ty)
-            if n.color == BLACK:
-                style = 'fill="black" stroke="black"'
-            else:
-                style = 'fill="white" stroke="black"'
-            lines.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{radius}" {style} '
-                'stroke-width="2"/>'
-            )
+    for p, color in dots:
+        cx, cy = px(*p)
+        if color == BLACK:
+            style = 'fill="black" stroke="black"'
+        else:
+            style = 'fill="white" stroke="black"'
+        lines.append(
+            f'<circle cx="{cx}" cy="{cy}" r="{radius}" {style} '
+            'stroke-width="2"/>'
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -316,21 +327,14 @@ def render_tikz(model: DimerModel, margin: Fraction = MARGIN) -> str:
         "\\begin{tikzpicture}[scale=3]",
         "  \\draw[dashed, gray] (0,0) rectangle (1,1);",
     ]
-    shifts = [(tx, ty) for tx in (-1, 0, 1) for ty in (-1, 0, 1)]
-    for tx, ty in shifts:
-        for e in model.edges:
-            (wx, wy), (bx, by) = edge_segment(model, e)
-            lines.append(
-                f"  \\draw ({_fmt(wx + tx)},{_fmt(wy + ty)}) -- "
-                f"({_fmt(bx + tx)},{_fmt(by + ty)});"
-            )
-    for tx, ty in shifts:
-        for n in model.nodes:
-            style = "fill=black" if n.color == BLACK else "fill=white"
-            lines.append(
-                f"  \\draw[{style}] ({_fmt(n.pos[0] + tx)},{_fmt(n.pos[1] + ty)}) "
-                "circle (0.06);"
-            )
+    segments, dots = _torus_copies(model)
+    for (wx, wy), (bx, by) in segments:
+        lines.append(
+            f"  \\draw ({_fmt(wx)},{_fmt(wy)}) -- ({_fmt(bx)},{_fmt(by)});"
+        )
+    for (x, y), color in dots:
+        style = "fill=black" if color == BLACK else "fill=white"
+        lines.append(f"  \\draw[{style}] ({_fmt(x)},{_fmt(y)}) circle (0.06);")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 

@@ -3,7 +3,9 @@
 A model is a set of colored nodes at exact rational positions in the
 fundamental square [0,1)^2 plus straight edges; each edge records which
 integer translate of its black endpoint the segment runs to.  All
-predicates (crossing, angular order, symmetry) are exact.
+predicates (crossing, angular order, symmetry) are exact: they run on the
+integer frame, every position multiplied by the common denominator of all
+node coordinates, so they compare ints, never Fractions.
 
 Symmetry convention: a group element h acts on polygon (N) coordinates
 as the matrix itself and on torus (M) coordinates by the inverse
@@ -146,16 +148,6 @@ def edge_segment(model: DimerModel, e: Edge) -> Tuple[Pt, Pt]:
     return w, (b[0] + e.offset[0], b[1] + e.offset[1])
 
 
-def edge_direction_at(model: DimerModel, e: Edge, nid: int) -> Pt:
-    """Outgoing direction of an edge at one of its endpoints."""
-    w, b = edge_segment(model, e)
-    if nid == e.white:
-        return (b[0] - w[0], b[1] - w[1])
-    if nid == e.black:
-        return (w[0] - b[0], w[1] - b[1])
-    raise ValueError(f"edge {e.id} is not incident to node {nid}")
-
-
 def _angle_half(v) -> int:
     # 0 for angles in [0, pi), 1 for [pi, 2pi); start of the sweep is (1,0).
     if v[1] > 0 or (v[1] == 0 and v[0] > 0):
@@ -182,10 +174,17 @@ def rotation_system(model: DimerModel) -> Mapping[int, Tuple[int, ...]]:
     a model whose edges leave a node at one angle raises every time."""
     if model._rotation is not None:
         return model._rotation
+    _, segs = _scaled_segments(model)
     rot: Dict[int, Tuple[int, ...]] = {}
     for n in model.nodes:
         incident = list(model.edges_at(n.id))
-        dirs = {eid: edge_direction_at(model, model.edge(eid), n.id) for eid in incident}
+        dirs = {}
+        for eid in incident:
+            # segments run white to black; reverse them at their black end
+            p, q = segs[eid]
+            if n.id != model.edge(eid).white:
+                p, q = q, p
+            dirs[eid] = (q[0] - p[0], q[1] - p[1])
         for i, e1 in enumerate(incident):
             for e2 in incident[i + 1 :]:
                 if angle_equal(dirs[e1], dirs[e2]):
@@ -292,19 +291,25 @@ class ValidationReport:
         return out
 
 
+def _integer_frame(model: DimerModel) -> Tuple[int, Dict[int, Vec]]:
+    """The common denominator of all node coordinates, and every node's
+    position multiplied by it: integer coordinates for exact predicates."""
+    scale = lcm(1, *(c.denominator for n in model.nodes for c in n.pos))
+    return scale, {
+        n.id: (n.pos[0].numerator * (scale // n.pos[0].denominator),
+               n.pos[1].numerator * (scale // n.pos[1].denominator))
+        for n in model.nodes
+    }
+
+
 def _scaled_segments(model: DimerModel):
-    denoms = [1]
-    for n in model.nodes:
-        denoms.append(n.pos[0].denominator)
-        denoms.append(n.pos[1].denominator)
-    scale = lcm(*denoms)
+    """Every edge's segment (white end, translated black end) in the
+    integer frame, with the frame's scale."""
+    scale, pos = _integer_frame(model)
     segs = {}
     for e in model.edges:
-        p, q = edge_segment(model, e)
-        segs[e.id] = (
-            (int(p[0] * scale), int(p[1] * scale)),
-            (int(q[0] * scale), int(q[1] * scale)),
-        )
+        b = pos[e.black]
+        segs[e.id] = (pos[e.white], (b[0] + e.offset[0] * scale, b[1] + e.offset[1] * scale))
     return scale, segs
 
 
@@ -545,22 +550,22 @@ def fixed_face(action: SymmetryAction) -> int:
     return fixed[0]
 
 
-def _apply_affine(linear: Mat2, t: Pt, p: Pt) -> Pt:
-    q = linear.apply(p)
-    return (q[0] + t[0], q[1] + t[1])
-
-
-def _element_map(model: DimerModel, h: Mat2, linear: Mat2, t: Pt, pos_index, edge_index):
+def _element_map(
+    model: DimerModel, h: Mat2, linear: Mat2, t: Vec, frame, pos_index, edge_index
+):
     """Node and edge permutations of the affine map x -> linear x + t, or
-    None if the map does not preserve the model.  pos_index maps node
-    positions and edge_index (white, black, offset) keys to ids."""
+    None if the map does not preserve the model.  frame is the integer
+    frame (scale, node positions) and t is given in it; pos_index maps
+    frame positions and edge_index (white, black, offset) keys to ids."""
+    scale, pos = frame
     det = h.det()
     node_perm: Dict[int, int] = {}
     kappa: Dict[int, Vec] = {}
     for n in model.nodes:
-        img = _apply_affine(linear, t, n.pos)
-        img_mod = (frac(img[0]), frac(img[1]))
-        target = pos_index.get(img_mod)
+        x, y = linear.apply(pos[n.id])
+        kx, x = divmod(x + t[0], scale)
+        ky, y = divmod(y + t[1], scale)
+        target = pos_index.get((x, y))
         if target is None:
             return None
         tn = model.node(target)
@@ -568,7 +573,7 @@ def _element_map(model: DimerModel, h: Mat2, linear: Mat2, t: Pt, pos_index, edg
         if tn.color != want:
             return None
         node_perm[n.id] = target
-        kappa[n.id] = (int(img[0] - img_mod[0]), int(img[1] - img_mod[1]))
+        kappa[n.id] = (kx, ky)
     edge_perm: Dict[int, int] = {}
     for e in model.edges:
         lo = linear.apply(e.offset)
@@ -596,18 +601,20 @@ def _element_map(model: DimerModel, h: Mat2, linear: Mat2, t: Pt, pos_index, edg
     return node_perm, edge_perm
 
 
-def _candidate_translations(model: DimerModel, h: Mat2, linear: Mat2) -> List[Pt]:
+def _candidate_translations(model: DimerModel, h: Mat2, linear: Mat2, frame) -> List[Vec]:
+    """Translations, in the integer frame, that take the first node onto a
+    node of the color h requires, in increasing order."""
+    scale, pos = frame
     base = model.nodes[0]
     det = h.det()
     want = base.color if det == 1 else (BLACK if base.color == WHITE else WHITE)
-    img = linear.apply(base.pos)
-    out = []
+    img = linear.apply(pos[base.id])
+    out = set()
     for n in model.nodes:
-        if n.color != want:
-            continue
-        t = (frac(n.pos[0] - img[0]), frac(n.pos[1] - img[1]))
-        out.append(t)
-    return sorted(set(out))
+        if n.color == want:
+            p = pos[n.id]
+            out.add(((p[0] - img[0]) % scale, (p[1] - img[1]) % scale))
+    return sorted(out)
 
 
 def _generating_words(elements: Sequence[Mat2]):
@@ -651,71 +658,90 @@ def symmetry_actions(
 ) -> Iterator[SymmetryAction]:
     """Yield every affine realization of the group on the model.
 
-    Translations are chosen per generator (candidates read off node-image
-    differences) and propagated by composition; coherent assignments are
-    yielded in a deterministic order.  Distinct assignments can be
-    genuinely different actions (fixing a face, a node, or nothing)."""
+    The search runs in the integer frame.  A generator's candidate
+    translations take the first node onto each node of the required
+    color; each is tested on its own, at most once per call, with one
+    node, edge and face map.  A translation that fails for its generator
+    is part of no action.  Every other element h = e g, read off its
+    _generating_words word, is composed from e and the generator g: its
+    permutations are perm_e o perm_g and its translation is
+    frac(linear_e t_g + t_e).  The cost is one map per (generator,
+    candidate) plus one composition per (action, element).  Actions are
+    yielded in lexicographic order of the generators' translations, each
+    list sorted.  The identity's map is computed once per call.
+    Distinct assignments can be genuinely different actions (fixing a
+    face, a node, or nothing)."""
     elems = tuple(sorted(set(elements)))
-    if Mat2.identity() not in elems:
+    ident = Mat2.identity()
+    if ident not in elems:
         raise ValueError("element list must contain the identity")
     gens, words = _generating_words(elems)
     lin = {h: h.contragredient() for h in elems}
     face_list = faces(model)
-    pos_index = {n.pos: n.id for n in model.nodes}
+    frame = _integer_frame(model)
+    scale = frame[0]
+    pos_index = {p: nid for nid, p in frame[1].items()}
     edge_index = {(e.white, e.black, e.offset): e.id for e in model.edges}
-    side_to_face = {}
-    for f in face_list:
-        for side in f.boundary:
-            side_to_face[side] = f.id
+    side_to_face = {side: f.id for f in face_list for side in f.boundary}
 
-    cand = [_candidate_translations(model, g, lin[g]) for g in gens]
+    def action(h: Mat2, t: Vec, node_perm, edge_perm, face_perm):
+        translation = (Fraction(t[0], scale), Fraction(t[1], scale))
+        return t, ElementAction(h, lin[h], translation, node_perm, edge_perm, face_perm)
 
-    def attempt(choice: List[Pt]) -> Optional[SymmetryAction]:
-        affine: Dict[Mat2, Pt] = {}
-        for h in sorted(elems, key=lambda m: len(words[m])):
-            w = words[h]
-            # compose left to right: the word g1 g2 ... acts as map(g1) after
-            # map(g2) applied to the argument, so extend on the right
-            lin_tot = Mat2.identity()
-            t = (Fraction(0), Fraction(0))
-            cur = Mat2.identity()
-            for gi in w:
-                g = gens[gi]
-                step = lin_tot.apply(choice[gi])
-                t = (t[0] + step[0], t[1] + step[1])
-                lin_tot = lin_tot.mul(lin[g])
-                cur = cur.mul(g)
-            assert cur == h
-            affine[h] = (frac(t[0]), frac(t[1]))
-        if affine[Mat2.identity()] != (Fraction(0), Fraction(0)):
+    def realize(h: Mat2, t: Vec):
+        res = _element_map(model, h, lin[h], t, frame, pos_index, edge_index)
+        if res is None:
             return None
-        maps = {}
-        for h in elems:
-            res = _element_map(model, h, lin[h], affine[h], pos_index, edge_index)
-            if res is None:
-                return None
-            node_perm, edge_perm = res
-            face_perm = _face_perm_from_sides(model, face_list, side_to_face, edge_perm)
-            if face_perm is None:
-                return None
-            maps[h] = ElementAction(
-                element=h,
-                linear=lin[h],
-                translation=affine[h],
-                node_perm=node_perm,
-                edge_perm=edge_perm,
-                face_perm=face_perm,
-            )
-        return SymmetryAction(elements=elems, maps=maps)
+        face_perm = _face_perm_from_sides(model, face_list, side_to_face, res[1])
+        if face_perm is None:
+            return None
+        return action(h, t, res[0], res[1], face_perm)
 
-    def search(idx: int, choice: List[Pt]) -> Iterator[SymmetryAction]:
-        if idx == len(gens):
-            act = attempt(choice)
-            if act is not None:
-                yield act
+    identity = realize(ident, (0, 0))
+    if identity is None:
+        return
+    cand = [_candidate_translations(model, g, lin[g], frame) for g in gens]
+    tested: List[Dict[Vec, Optional[Tuple[Vec, ElementAction]]]] = [{} for _ in gens]
+
+    def passing(i: int):
+        # inner generators are iterated once per outer choice: map each
+        # candidate once, on first use
+        for t in cand[i]:
+            if t not in tested[i]:
+                tested[i][t] = realize(gens[i], t)
+            if tested[i][t] is not None:
+                yield tested[i][t]
+
+    # (h, e, index of g) with h = e g, e before h: shortest words first;
+    # every prefix of a word is the word of an element
+    by_word = {tuple(w): h for h, w in words.items()}
+    steps = [
+        (h, by_word[tuple(words[h][:-1])], words[h][-1])
+        for h in sorted(elems, key=lambda m: len(words[m]))
+        if len(words[h]) > 1
+    ]
+
+    def compose(choice) -> SymmetryAction:
+        built = {ident: identity, **dict(zip(gens, choice))}
+        for h, e, gi in steps:
+            te, ae = built[e]
+            tg, ag = choice[gi]
+            x, y = ae.linear.apply(tg)
+            built[h] = action(
+                h,
+                ((x + te[0]) % scale, (y + te[1]) % scale),
+                {k: ae.node_perm[v] for k, v in ag.node_perm.items()},
+                {k: ae.edge_perm[v] for k, v in ag.edge_perm.items()},
+                {k: ae.face_perm[v] for k, v in ag.face_perm.items()},
+            )
+        return SymmetryAction(elements=elems, maps={h: built[h][1] for h in elems})
+
+    def search(i: int, choice: List[Tuple[Vec, ElementAction]]) -> Iterator[SymmetryAction]:
+        if i == len(gens):
+            yield compose(choice)
             return
-        for t in cand[idx]:
-            yield from search(idx + 1, choice + [t])
+        for chosen in passing(i):
+            yield from search(i + 1, choice + [chosen])
 
     yield from search(0, [])
 

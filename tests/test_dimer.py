@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,22 +14,28 @@ from symdimer.dimer import (
     WHITE,
     DimerModel,
     Edge,
+    ElementAction,
     MergeLoopError,
     NoFixedFaceError,
     Node,
     NotSymmetricError,
+    SymmetryAction,
     TwoEdgesSameDirectionError,
     UnknownElementError,
+    _face_perm_from_sides,
+    _generating_words,
     face_offset_sum,
     faces,
     find_symmetry,
     fixed_face,
+    frac_pt,
     remove_divalent,
     rotation_system,
     symmetry_actions,
     validate,
 )
-from symdimer.lattice import Mat2, canonical_group
+from symdimer.lattice import GROUP_TAGS, Mat2, canonical_group
+from symdimer.surgery import cover
 
 F = Fraction
 
@@ -211,27 +218,134 @@ def test_find_symmetry_rejects_wrong_group():
 
 
 def test_symmetry_composition_law():
-    m = square_model()
-    act = find_symmetry(m, canonical_group("D8"))
-    for g in act.elements:
-        for h in act.elements:
-            gh = g.mul(h)
-            for n in act.maps[g].node_perm:
-                assert (
-                    act.maps[g].node_perm[act.maps[h].node_perm[n]]
-                    == act.maps[gh].node_perm[n]
-                )
-            for e in act.maps[g].edge_perm:
-                assert (
-                    act.maps[g].edge_perm[act.maps[h].edge_perm[e]]
-                    == act.maps[gh].edge_perm[e]
-                )
-            # translations compose through the linear parts modulo Z^2
-            tg, th = act.maps[g].translation, act.maps[h].translation
-            lg = act.maps[g].linear
-            step = lg.apply(th)
-            want = ((step[0] + tg[0]) % 1, (step[1] + tg[1]) % 1)
-            assert act.maps[gh].translation == want
+    for mk, tag in SYMMETRY_CASES:
+        act = find_symmetry(mk(), canonical_group(tag))
+        for g in act.elements:
+            for h in act.elements:
+                gh = g.mul(h)
+                for kind in ("node_perm", "edge_perm", "face_perm"):
+                    pg, ph, pgh = (getattr(act.maps[x], kind) for x in (g, h, gh))
+                    for k in ph:
+                        assert pg[ph[k]] == pgh[k], (mk.__name__, tag, kind, g, h, k)
+                # translations compose through the linear parts modulo Z^2
+                tg, th = act.maps[g].translation, act.maps[h].translation
+                step = act.maps[g].linear.apply(th)
+                want = ((step[0] + tg[0]) % 1, (step[1] + tg[1]) % 1)
+                assert act.maps[gh].translation == want, (mk.__name__, tag, g, h)
+
+
+def product_symmetry_actions(model, elements):
+    """Reference search: the product over generators of one candidate
+    translation per node of a color, and for every combination a Fraction
+    node, edge and face map of every group element."""
+    elems = tuple(sorted(set(elements)))
+    gens, words = _generating_words(elems)
+    lin = {h: h.contragredient() for h in elems}
+    face_list = faces(model)
+    pos_index = {n.pos: n.id for n in model.nodes}
+    edge_index = {(e.white, e.black, e.offset): e.id for e in model.edges}
+    side_to_face = {side: f.id for f in face_list for side in f.boundary}
+
+    def required_color(h, color):
+        return color if h.det() == 1 else (BLACK if color == WHITE else WHITE)
+
+    def element_map(h, t):
+        node_perm, kappa = {}, {}
+        for n in model.nodes:
+            x, y = lin[h].apply(n.pos)
+            img = (x + t[0], y + t[1])
+            img_mod = frac_pt(img)
+            target = pos_index.get(img_mod)
+            if target is None or model.node(target).color != required_color(h, n.color):
+                return None
+            node_perm[n.id] = target
+            kappa[n.id] = (int(img[0] - img_mod[0]), int(img[1] - img_mod[1]))
+        edge_perm = {}
+        for e in model.edges:
+            lo = lin[h].apply(e.offset)
+            kw, kb = kappa[e.white], kappa[e.black]
+            if h.det() == 1:
+                key = (node_perm[e.white], node_perm[e.black],
+                       (lo[0] + kb[0] - kw[0], lo[1] + kb[1] - kw[1]))
+            else:
+                key = (node_perm[e.black], node_perm[e.white],
+                       (kw[0] - kb[0] - lo[0], kw[1] - kb[1] - lo[1]))
+            if key not in edge_index:
+                return None
+            edge_perm[e.id] = edge_index[key]
+        if len(set(node_perm.values())) != len(node_perm):
+            return None
+        if len(set(edge_perm.values())) != len(edge_perm):
+            return None
+        return node_perm, edge_perm
+
+    def candidates(g):
+        base = model.nodes[0]
+        img = lin[g].apply(base.pos)
+        want = required_color(g, base.color)
+        return sorted({frac_pt((n.pos[0] - img[0], n.pos[1] - img[1]))
+                       for n in model.nodes if n.color == want})
+
+    for choice in itertools.product(*(candidates(g) for g in gens)):
+        maps = {}
+        for h in elems:
+            # the word g1 g2 ... acts as map(g1) after map(g2) after ...
+            t, lin_tot = (F(0), F(0)), Mat2.identity()
+            for gi in words[h]:
+                step = lin_tot.apply(choice[gi])
+                t = (t[0] + step[0], t[1] + step[1])
+                lin_tot = lin_tot.mul(lin[gens[gi]])
+            t = frac_pt(t)
+            res = element_map(h, t)
+            if res is None:
+                break
+            face_perm = _face_perm_from_sides(model, face_list, side_to_face, res[1])
+            if face_perm is None:
+                break
+            maps[h] = ElementAction(h, lin[h], t, res[0], res[1], face_perm)
+        else:
+            yield SymmetryAction(elements=elems, maps=maps)
+
+
+def action_record(act):
+    """Everything an action carries, dict orders included."""
+    return act.elements, [
+        (h, a.element, a.linear, a.translation, list(a.node_perm.items()),
+         list(a.edge_perm.items()), list(a.face_perm.items()))
+        for h, a in act.maps.items()
+    ]
+
+
+def symmetry_search_cases():
+    """The catalog models, their Hermite-normal-form covers of index 2
+    and 3, and every single-edge deletion of a catalog model that is
+    still a valid dimer model."""
+    for mk in (hexagonal_model, square_model, octagon_model, dodecagon_model):
+        model = mk()
+        yield mk.__name__, model
+        for a in (1, 2, 3):
+            for d in range(1, 3 // a + 1):
+                for b in range(a):
+                    if a * d > 1:
+                        yield (mk.__name__, (a, b, d)), cover(model, Mat2(a, b, 0, d))
+        for e in model.edges:
+            cut = DimerModel(model.nodes, [x for x in model.edges if x.id != e.id])
+            if validate(cut).ok:
+                yield (mk.__name__, "without", e.id), cut
+
+
+def test_symmetry_search_agrees_with_the_product_search():
+    yielded = acting = silent = 0
+    for label, model in symmetry_search_cases():
+        for tag in GROUP_TAGS:
+            group = canonical_group(tag)
+            want = [action_record(a) for a in product_symmetry_actions(model, group)]
+            got = [action_record(a) for a in symmetry_actions(model, group)]
+            assert got == want, (label, tag)
+            yielded += len(got)
+            acting += bool(got)
+            silent += not got
+    assert acting and silent and yielded > acting
 
 
 def test_sixfold_rotation_advances_rings():
