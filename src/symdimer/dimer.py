@@ -15,9 +15,10 @@ determinant -1 exchange the two node colors.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -83,7 +84,12 @@ class Face:
 
 
 class DimerModel:
-    """Immutable container for nodes and edges with id lookups."""
+    """Immutable container for nodes and edges with id lookups.
+
+    Two caches ride on a model, both computed from it alone: _rotation
+    (see rotation_system) and _cuts, which surgery._try_cut fills with
+    the verdict of each (deleted edges, target polygon) candidate cut of
+    this model."""
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]):
         self.nodes: Tuple[Node, ...] = tuple(sorted(nodes, key=lambda n: n.id))
@@ -117,6 +123,7 @@ class DimerModel:
                 raise ValueError("two nodes share a position")
             seen.add(n.pos)
         self._rotation: Optional[Mapping[int, Tuple[int, ...]]] = None
+        self._cuts: Dict[tuple, Optional[DimerModel]] = {}
 
     def node(self, nid: int) -> Node:
         return self.node_by_id[nid]
@@ -355,49 +362,75 @@ def _segments_conflict(p1, p2, q1, q2) -> bool:
     return False
 
 
+def _conflict_under_translate(segs, boxes, scale: int, e1: int, e2: int) -> bool:
+    """True if edge e2, moved by some integer translate (nonzero when
+    e1 == e2), conflicts with edge e1."""
+    p1, p2 = segs[e1]
+    q1, q2 = segs[e2]
+    bx1, bx2 = boxes[e1], boxes[e2]
+    # integer translate range where bounding boxes can touch
+    txs = range(-((bx2[2] - bx1[0]) // scale) - 1, (bx1[2] - bx2[0]) // scale + 2)
+    tys = range(-((bx2[3] - bx1[1]) // scale) - 1, (bx1[3] - bx2[1]) // scale + 2)
+    for tx in txs:
+        for ty in tys:
+            if e1 == e2 and tx == 0 and ty == 0:
+                continue
+            dx, dy = tx * scale, ty * scale
+            if (
+                bx2[0] + dx > bx1[2]
+                or bx2[2] + dx < bx1[0]
+                or bx2[1] + dy > bx1[3]
+                or bx2[3] + dy < bx1[1]
+            ):
+                continue
+            if _segments_conflict(
+                p1, p2, (q1[0] + dx, q1[1] + dy), (q2[0] + dx, q2[1] + dy)
+            ):
+                return True
+    return False
+
+
+def _torus_bins(box, scale: int, g: int) -> List[Tuple[int, int]]:
+    """The cells of the g x g grid on the torus (side scale in the
+    integer frame) that a bounding box meets."""
+    x0, y0, x1, y1 = box
+
+    def span(lo: int, hi: int):
+        a, b = lo * g // scale, hi * g // scale
+        return range(g) if b - a >= g - 1 else [i % g for i in range(a, b + 1)]
+
+    return [(i, j) for i in span(x0, x1) for j in span(y0, y1)]
+
+
 def _crossing_pairs(model: DimerModel) -> List[Tuple[int, int]]:
+    """Sorted pairs (e1 <= e2) of edges that conflict under some integer
+    translate (for e1 == e2, a nonzero one).
+
+    Two segments can only conflict where their bounding boxes meet on the
+    torus, so each box is put into the cells of a g x g grid on the
+    torus, g = min(scale, isqrt(E)), that it meets modulo the scale, and
+    only pairs sharing a cell (and every edge with itself) are tested
+    against their translates."""
     scale, segs = _scaled_segments(model)
     ids = sorted(segs)
     boxes = {}
     for eid in ids:
         (x1, y1), (x2, y2) = segs[eid]
         boxes[eid] = (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-    bad = []
-    for i, e1 in enumerate(ids):
-        p1, p2 = segs[e1]
-        bx1 = boxes[e1]
-        for e2 in ids[i:]:
-            q1, q2 = segs[e2]
-            bx2 = boxes[e2]
-            # integer translate range where bounding boxes can touch
-            txs = range(
-                -((bx2[2] - bx1[0]) // scale) - 1, (bx1[2] - bx2[0]) // scale + 2
-            )
-            tys = range(
-                -((bx2[3] - bx1[1]) // scale) - 1, (bx1[3] - bx2[1]) // scale + 2
-            )
-            hit = False
-            for tx in txs:
-                for ty in tys:
-                    if e1 == e2 and tx == 0 and ty == 0:
-                        continue
-                    dx, dy = tx * scale, ty * scale
-                    if (
-                        bx2[0] + dx > bx1[2]
-                        or bx2[2] + dx < bx1[0]
-                        or bx2[1] + dy > bx1[3]
-                        or bx2[3] + dy < bx1[1]
-                    ):
-                        continue
-                    if _segments_conflict(
-                        p1, p2, (q1[0] + dx, q1[1] + dy), (q2[0] + dx, q2[1] + dy)
-                    ):
-                        bad.append((e1, e2))
-                        hit = True
-                        break
-                if hit:
-                    break
-    return bad
+    g = min(scale, isqrt(len(ids)))
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    for eid in ids:
+        for cell in _torus_bins(boxes[eid], scale, g):
+            cells.setdefault(cell, []).append(eid)
+    pairs = {(e, e) for e in ids}
+    for members in cells.values():
+        for i, e1 in enumerate(members):
+            pairs.update((e1, e2) for e2 in members[i + 1 :])
+    return [
+        (e1, e2)
+        for e1, e2 in sorted(pairs)
+        if _conflict_under_translate(segs, boxes, scale, e1, e2)
+    ]
 
 
 def validate(model: DimerModel) -> ValidationReport:
@@ -446,30 +479,27 @@ def validate(model: DimerModel) -> ValidationReport:
 
 def remove_divalent(model: DimerModel) -> DimerModel:
     """Merge away all degree-2 nodes (each divalent node's two neighbors are
-    identified and placed at the divalent node's position)."""
+    identified and placed at the divalent node's position).
+
+    The smallest divalent id is merged first.  Every node's incident edge
+    ids are kept and updated on each merge; only the merged node's degree
+    changes, so a heap of candidate ids finds the next divalent node."""
     nodes = {n.id: n for n in model.nodes}
     edges = {e.id: e for e in model.edges}
-
-    def degree(nid):
-        return sum(1 for e in edges.values() if nid in (e.white, e.black))
-
-    while True:
-        div = None
-        for nid in sorted(nodes):
-            if degree(nid) == 2:
-                div = nid
-                break
-        if div is None:
-            break
+    incident = {nid: set(model.edges_at(nid)) for nid in nodes}
+    heap = [nid for nid in nodes if len(incident[nid]) == 2]
+    heapq.heapify(heap)
+    while heap:
+        div = heapq.heappop(heap)
+        if div not in nodes or len(incident[div]) != 2:
+            continue
         v = nodes[div]
-        inc = sorted(e.id for e in edges.values() if div in (e.white, e.black))
-        e1, e2 = edges[inc[0]], edges[inc[1]]
+        e1, e2 = (edges[eid] for eid in sorted(incident[div]))
         if v.color == WHITE:
             n1, n2 = e1.black, e2.black
-            o1, o2 = e1.offset, e2.offset
         else:
             n1, n2 = e1.white, e2.white
-            o1, o2 = e1.offset, e2.offset
+        o1, o2 = e1.offset, e2.offset
         if n1 == n2:
             raise MergeLoopError(
                 f"divalent node {div} has a single neighbor {n1}"
@@ -481,7 +511,9 @@ def remove_divalent(model: DimerModel) -> DimerModel:
         del nodes[n1]
         del nodes[n2]
         nodes[merged.id] = merged
-        for eid in sorted(edges):
+        moved = (incident.pop(n1) | incident.pop(n2)) - {e1.id, e2.id}
+        incident[merged.id] = moved
+        for eid in moved:
             e = edges[eid]
             if e.white in (n1, n2):
                 shift = o1 if e.white == n1 else o2
@@ -491,7 +523,7 @@ def remove_divalent(model: DimerModel) -> DimerModel:
                     black=e.black,
                     offset=(e.offset[0] - shift[0], e.offset[1] - shift[1]),
                 )
-            elif e.black in (n1, n2):
+            else:
                 shift = o1 if e.black == n1 else o2
                 edges[eid] = Edge(
                     id=e.id,
@@ -499,6 +531,8 @@ def remove_divalent(model: DimerModel) -> DimerModel:
                     black=merged.id,
                     offset=(e.offset[0] - shift[0], e.offset[1] - shift[1]),
                 )
+        if len(moved) == 2:
+            heapq.heappush(heap, merged.id)
     return DimerModel(nodes.values(), edges.values())
 
 

@@ -4,7 +4,7 @@ The two cutting operations work by deleting the edges where chosen zigzag
 paths cross, collapsing the divalent nodes this leaves behind, and
 computing a fresh harmonic embedding.  Every candidate outcome is
 verified from scratch (geometry, consistency, zigzag polygon) before it
-is accepted.
+is accepted, once per source model: the verdict is kept on the model.
 """
 
 import heapq
@@ -18,7 +18,6 @@ from .dimer import (
     Edge,
     MergeLoopError,
     Node,
-    Pt,
     SymmetryAction,
     frac_pt,
     remove_divalent,
@@ -224,22 +223,30 @@ def reembed(model: DimerModel) -> DimerModel:
     its neighbors (as seen through the edge offsets), keeping the
     smallest node id pinned in place.
 
-    The pinned graph Laplacian is stored as one sparse row per node, the
-    pin moved into the right-hand side, and the system solved exactly in
-    `Fraction`s by Gaussian elimination with minimum-degree pivoting (the
-    active row with the fewest entries, ties to the smaller index), both
-    coordinates in one pass, then back-substituted.  The solution is the
-    unique harmonic embedding with that pin; symmetric models stay
-    symmetric because affine torus maps preserve centroids.  A graph not
-    connected to the pin raises EmbeddingFailedError("singular harmonic
-    system"), and two nodes landing on one position raise
-    EmbeddingFailedError with DimerModel's message."""
+    The unknowns are the displacements from the pin, so the pinned graph
+    Laplacian and the right-hand side (sums of edge offsets) are
+    integers.  The Laplacian is stored as one sparse row per node and
+    eliminated fraction-free, both coordinates in one pass: the active
+    row with the fewest entries is the pivot (ties to the smaller index),
+    every row j with an entry in the pivot column becomes
+    piv*r_j - r_j[p]*r_p, and is divided by the gcd of its entries and
+    its right-hand side.  The multiplier r_j[p] is read from row j
+    itself: scaled rows are no longer symmetric.  Back-substitution runs
+    in `Fraction`s, then the pin is added back.  Each integer row is a
+    positive multiple of the row a `Fraction` elimination would hold, so
+    the pivot order, the singular pivots and the solution are the same.
+
+    The solution is the unique harmonic embedding with that pin;
+    symmetric models stay symmetric because affine torus maps preserve
+    centroids.  A graph not connected to the pin raises
+    EmbeddingFailedError("singular harmonic system"), and two nodes
+    landing on one position raise EmbeddingFailedError with DimerModel's
+    message."""
     ids = sorted(n.id for n in model.nodes)
     idx = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
-    pin = model.node(ids[0]).pos
-    rows: List[Dict[int, Fraction]] = [{} for _ in range(n)]
-    rhs = [[Fraction(0), Fraction(0)] for _ in range(n)]
+    rows: List[Dict[int, int]] = [{} for _ in range(n)]
+    rhs = [[0, 0] for _ in range(n)]
     for e in model.edges:
         w, b = idx[e.white], idx[e.black]
         for u, v, sign in ((w, b, 1), (b, w, -1)):
@@ -249,10 +256,7 @@ def reembed(model: DimerModel) -> DimerModel:
             row[u] = row.get(u, 0) + 1
             r[0] += sign * e.offset[0]
             r[1] += sign * e.offset[1]
-            if v == 0:
-                r[0] += pin[0]
-                r[1] += pin[1]
-            else:
+            if v:
                 row[v] = row.get(v, 0) - 1
 
     # The system is symmetric positive semidefinite, so a diagonal pivot
@@ -260,7 +264,7 @@ def reembed(model: DimerModel) -> DimerModel:
     heap = [(len(rows[i]), i) for i in range(1, n)]
     heapq.heapify(heap)
     active = [i > 0 for i in range(n)]
-    order: List[Tuple[int, Fraction]] = []
+    order: List[Tuple[int, int]] = []
     while heap:
         size, p = heapq.heappop(heap)
         if not active[p] or size != len(rows[p]):
@@ -272,30 +276,38 @@ def reembed(model: DimerModel) -> DimerModel:
             raise EmbeddingFailedError("singular harmonic system")
         order.append((p, piv))
         bx, by = rhs[p]
-        for j, a in row.items():
-            f = Fraction(a) / piv
-            rj = rows[j]
-            del rj[p]
+        for j in row:
+            a = rows[j][p]
+            rj = {k: piv * v for k, v in rows[j].items() if k != p}
             for k, v in row.items():
-                s = rj.get(k, 0) - f * v
+                s = rj.get(k, 0) - a * v
                 if s:
                     rj[k] = s
                 else:
                     rj.pop(k, None)
-            r = rhs[j]
-            r[0] -= f * bx
-            r[1] -= f * by
+            x, y = rhs[j]
+            x, y = piv * x - a * bx, piv * y - a * by
+            g = math.gcd(x, y, *rj.values())
+            if g > 1:
+                rj = {k: v // g for k, v in rj.items()}
+                x, y = x // g, y // g
+            rows[j], rhs[j] = rj, [x, y]
             heapq.heappush(heap, (len(rj), j))
 
-    pos: List[Pt] = [pin] * n
+    disp: List[Tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * n
     for p, piv in reversed(order):
         x, y = rhs[p]
         for k, v in rows[p].items():
-            x -= v * pos[k][0]
-            y -= v * pos[k][1]
-        pos[p] = (x / piv, y / piv)
+            x -= v * disp[k][0]
+            y -= v * disp[k][1]
+        disp[p] = (Fraction(x) / piv, Fraction(y) / piv)
+    pin = model.node(ids[0]).pos
     nodes = [
-        Node(id=nid, color=model.node(nid).color, pos=frac_pt(pos[i]))
+        Node(
+            id=nid,
+            color=model.node(nid).color,
+            pos=frac_pt((pin[0] + disp[i][0], pin[1] + disp[i][1])),
+        )
         for i, nid in enumerate(ids)
     ]
     try:
@@ -385,15 +397,11 @@ def _orbit_edges(action: Optional[SymmetryAction], seed: Set[int]) -> Set[int]:
         out = grown
 
 
-def _try_cut(
-    model: DimerModel,
-    doomed: Set[int],
-    target: Tuple[Vec, ...],
-    accept=None,
+def _cut(
+    model: DimerModel, doomed: Set[int], target: Tuple[Vec, ...]
 ) -> Optional[DimerModel]:
-    """Delete the edges, collapse, re-embed, and accept the result only if
-    it is a valid consistent model whose zigzag polygon is the target and
-    the extra acceptance predicate (if any) passes."""
+    """Delete the edges, collapse, re-embed, and return the result only if
+    it is a valid consistent model whose zigzag polygon is the target."""
     try:
         cut = delete_edges(model, doomed)
         cut = reembed(cut)
@@ -409,7 +417,30 @@ def _try_cut(
         return None
     if not check_consistency(cut).consistent:
         return None
-    if accept is not None and not accept(cut):
+    return cut
+
+
+def _try_cut(
+    model: DimerModel,
+    doomed: Set[int],
+    target: Tuple[Vec, ...],
+    accept=None,
+) -> Optional[DimerModel]:
+    """_cut, decided once per (model, deleted edges, target) and kept on
+    the source model in model._cuts; then the acceptance predicate (if
+    any).
+
+    The symmetric searches meet the same candidate again and again: the
+    corners of one orbit, other actions on the same model, and the
+    subtrees re-explored after backtracking, which start from the same
+    cached model object and so hit its own cache.  _cut depends only on
+    the key, so its verdict is cached; accept may depend on the caller
+    and runs on every call."""
+    key = (frozenset(doomed), target)
+    if key not in model._cuts:
+        model._cuts[key] = _cut(model, doomed, target)
+    cut = model._cuts[key]
+    if cut is None or (accept is not None and not accept(cut)):
         return None
     return cut
 

@@ -22,8 +22,11 @@ from symdimer.dimer import (
     SymmetryAction,
     TwoEdgesSameDirectionError,
     UnknownElementError,
+    _crossing_pairs,
     _face_perm_from_sides,
     _generating_words,
+    _scaled_segments,
+    _segments_conflict,
     face_offset_sum,
     faces,
     find_symmetry,
@@ -35,7 +38,8 @@ from symdimer.dimer import (
     validate,
 )
 from symdimer.lattice import GROUP_TAGS, Mat2, canonical_group
-from symdimer.surgery import cover
+from symdimer.surgery import EmbeddingFailedError, cover, reembed
+from symdimer.zigzag import zigzag_paths
 
 F = Fraction
 
@@ -180,6 +184,162 @@ def test_remove_divalent_rejects_loop():
         remove_divalent(m)
 
 
+# References for the binned crossing test and the incremental divalent
+# merge: every pair of edges against every translate, and a merge loop
+# that rescans every edge for each node's degree.
+
+
+def all_pairs_crossing_pairs(model):
+    scale, segs = _scaled_segments(model)
+    ids = sorted(segs)
+    boxes = {}
+    for eid in ids:
+        (x1, y1), (x2, y2) = segs[eid]
+        boxes[eid] = (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+    bad = []
+    for i, e1 in enumerate(ids):
+        p1, p2 = segs[e1]
+        bx1 = boxes[e1]
+        for e2 in ids[i:]:
+            q1, q2 = segs[e2]
+            bx2 = boxes[e2]
+            txs = range(
+                -((bx2[2] - bx1[0]) // scale) - 1, (bx1[2] - bx2[0]) // scale + 2
+            )
+            tys = range(
+                -((bx2[3] - bx1[1]) // scale) - 1, (bx1[3] - bx2[1]) // scale + 2
+            )
+            hit = False
+            for tx in txs:
+                for ty in tys:
+                    if e1 == e2 and tx == 0 and ty == 0:
+                        continue
+                    dx, dy = tx * scale, ty * scale
+                    if (
+                        bx2[0] + dx > bx1[2]
+                        or bx2[2] + dx < bx1[0]
+                        or bx2[1] + dy > bx1[3]
+                        or bx2[3] + dy < bx1[1]
+                    ):
+                        continue
+                    if _segments_conflict(
+                        p1, p2, (q1[0] + dx, q1[1] + dy), (q2[0] + dx, q2[1] + dy)
+                    ):
+                        bad.append((e1, e2))
+                        hit = True
+                        break
+                if hit:
+                    break
+    return bad
+
+
+def quadratic_remove_divalent(model):
+    nodes = {n.id: n for n in model.nodes}
+    edges = {e.id: e for e in model.edges}
+
+    def degree(nid):
+        return sum(1 for e in edges.values() if nid in (e.white, e.black))
+
+    while True:
+        div = None
+        for nid in sorted(nodes):
+            if degree(nid) == 2:
+                div = nid
+                break
+        if div is None:
+            break
+        v = nodes[div]
+        inc = sorted(e.id for e in edges.values() if div in (e.white, e.black))
+        e1, e2 = edges[inc[0]], edges[inc[1]]
+        if v.color == WHITE:
+            n1, n2 = e1.black, e2.black
+        else:
+            n1, n2 = e1.white, e2.white
+        o1, o2 = e1.offset, e2.offset
+        if n1 == n2:
+            raise MergeLoopError(f"divalent node {div} has a single neighbor {n1}")
+        merged = Node(id=v.id, color=nodes[n1].color, pos=v.pos)
+        del edges[e1.id]
+        del edges[e2.id]
+        del nodes[div]
+        del nodes[n1]
+        del nodes[n2]
+        nodes[merged.id] = merged
+        for eid in sorted(edges):
+            e = edges[eid]
+            if e.white in (n1, n2):
+                shift = o1 if e.white == n1 else o2
+                edges[eid] = Edge(
+                    e.id, merged.id, e.black,
+                    (e.offset[0] - shift[0], e.offset[1] - shift[1]),
+                )
+            elif e.black in (n1, n2):
+                shift = o1 if e.black == n1 else o2
+                edges[eid] = Edge(
+                    e.id, e.white, merged.id,
+                    (e.offset[0] - shift[0], e.offset[1] - shift[1]),
+                )
+    return DimerModel(nodes.values(), edges.values())
+
+
+def _merge_outcome(merge, model):
+    try:
+        out = merge(model)
+    except MergeLoopError as exc:
+        return str(exc)
+    return out.nodes, out.edges
+
+
+CATALOG = (hexagonal_model, square_model, octagon_model, dodecagon_model)
+
+
+def catalog_covers():
+    """(label, model) for the catalog models and their Hermite-normal-form
+    covers of index 2 and 3."""
+    for mk in CATALOG:
+        model = mk()
+        yield mk.__name__, model
+        for a in (1, 2, 3):
+            for d in range(1, 3 // a + 1):
+                for b in range(a):
+                    if a * d > 1:
+                        yield (mk.__name__, (a, b, d)), cover(model, Mat2(a, b, 0, d))
+
+
+def test_binned_and_incremental_agree_with_the_references():
+    """On the catalog covers and on every deletion of the shared edges of
+    two zigzag paths: before the merge (divalent nodes left in), after
+    it (old positions kept) and re-embedded (often with crossings)."""
+    compared = crossing = merged = loops = 0
+    for _label, model in catalog_covers():
+        assert _crossing_pairs(model) == all_pairs_crossing_pairs(model) == []
+        paths = zigzag_paths(model)
+        for z1, z2 in itertools.combinations(paths, 2):
+            shared = set(z1.edge_ids()) & set(z2.edge_ids())
+            kept = [e for e in model.edges if e.id not in shared]
+            if not shared or any(len(set(model.edges_at(n.id)) - shared) < 2
+                                 for n in model.nodes):
+                continue
+            cut = DimerModel(model.nodes, kept)
+            got = _merge_outcome(remove_divalent, cut)
+            assert got == _merge_outcome(quadratic_remove_divalent, cut)
+            checked = [cut]
+            if not isinstance(got, str):
+                checked.append(DimerModel(*got))
+                try:
+                    checked.append(reembed(checked[-1]))
+                except EmbeddingFailedError:
+                    pass
+            for m in checked:
+                pairs = _crossing_pairs(m)
+                assert pairs == all_pairs_crossing_pairs(m)
+                compared += 1
+                crossing += bool(pairs)
+            merged += not isinstance(got, str)
+            loops += isinstance(got, str)
+    assert compared > 400 and crossing > 50 and merged and loops
+
+
 SYMMETRY_CASES = [
     (hexagonal_model, "C3"),
     (square_model, "C2"),
@@ -320,14 +480,9 @@ def symmetry_search_cases():
     """The catalog models, their Hermite-normal-form covers of index 2
     and 3, and every single-edge deletion of a catalog model that is
     still a valid dimer model."""
-    for mk in (hexagonal_model, square_model, octagon_model, dodecagon_model):
+    yield from catalog_covers()
+    for mk in CATALOG:
         model = mk()
-        yield mk.__name__, model
-        for a in (1, 2, 3):
-            for d in range(1, 3 // a + 1):
-                for b in range(a):
-                    if a * d > 1:
-                        yield (mk.__name__, (a, b, d)), cover(model, Mat2(a, b, 0, d))
         for e in model.edges:
             cut = DimerModel(model.nodes, [x for x in model.edges if x.id != e.id])
             if validate(cut).ok:

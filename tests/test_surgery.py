@@ -14,16 +14,20 @@ from symdimer.dimer import (
     Node,
     find_symmetry,
     frac_pt,
+    symmetry_actions,
     validate,
 )
 from symdimer.lattice import (
+    GROUP_TAGS,
     Mat2,
     canonical_group,
     convex_hull,
+    corner_chop_admissible,
     normalize_translation,
     exact_invariant_frame,
 )
 from symdimer.matchings import characteristic_polygon, enumerate_matchings
+import symdimer.surgery as surgery
 from symdimer.surgery import (
     EmbeddingFailedError,
     IsolatedNodeError,
@@ -478,3 +482,123 @@ def test_corner_chop_dodecagon_c2_gives_diamond():
     )
     assert frame == ((-1, 0), (0, -1), (1, 0), (0, 1))
     assert find_symmetry(chopped, canonical_group("C2")) is not None
+
+
+# ---------------------------------------------------------------------------
+# The per-model cut cache
+
+
+@pytest.fixture
+def reembed_calls(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return reembed(model)
+
+    monkeypatch.setattr(surgery, "reembed", counted)
+    return calls
+
+
+def test_repeated_chop_is_decided_once(reembed_calls):
+    m = centered_square_cover()
+    action = find_symmetry(m, canonical_group("C2"))
+    first = corner_chop(m, action, (1, 1))
+    assert reembed_calls
+    seen = len(reembed_calls)
+    assert corner_chop(m, action, (1, 1)) is first
+    assert len(reembed_calls) == seen
+
+
+def test_repeated_gulotta_cut_is_decided_once(reembed_calls):
+    m = rectangle_two_by_one()
+    first = gulotta_cut(m, (2, 1), k=1, m=1)
+    seen = len(reembed_calls)
+    assert seen
+    assert gulotta_cut(m, (2, 1), k=1, m=1) is first
+    assert len(reembed_calls) == seen
+
+
+def test_repeated_failing_chop_is_decided_once(reembed_calls):
+    m = centered_square_cover()
+    action = find_symmetry(m, canonical_group("C2"))
+    target = ((0, 0), (5, 0), (0, 5))
+    with pytest.raises(SearchExhaustedError) as first:
+        corner_chop(m, action, (1, 1), target=target)
+    seen = len(reembed_calls)
+    with pytest.raises(SearchExhaustedError) as again:
+        corner_chop(m, action, (1, 1), target=target)
+    assert str(again.value) == str(first.value)
+    assert len(reembed_calls) == seen
+    # the same deleted edges toward another target are a new candidate
+    cold = centered_square_cover()
+    want = corner_chop(cold, find_symmetry(cold, canonical_group("C2")), (1, 1))
+    assert corner_chop(m, action, (1, 1)) == want
+
+
+def test_accept_runs_on_every_repeated_cut():
+    m = centered_square_cover()
+    action = find_symmetry(m, canonical_group("C2"))
+    seen = []
+
+    def accept(cut):
+        seen.append(cut)
+        return True
+
+    first = corner_chop(m, action, (1, 1), accept=accept)
+    assert corner_chop(m, action, (1, 1), accept=accept) is first
+    assert seen == [first, first]
+    # a rejecting predicate is asked again on the same cached cuts
+    rejected = []
+    for _ in range(2):
+        with pytest.raises(SearchExhaustedError):
+            corner_chop(m, action, (1, 1), accept=lambda cut: rejected.append(cut))
+    half = len(rejected) // 2
+    assert rejected[0] is first
+    assert all(a is b for a, b in zip(rejected[:half], rejected[half:]))
+    assert len(rejected) == 2 * half
+    assert corner_chop(m, action, (1, 1)) is first
+
+
+def _chop_outcome(model, action, corner):
+    try:
+        cut = corner_chop(model, action, corner)
+    except SurgeryError as exc:
+        return type(exc), str(exc)
+    return cut.nodes, cut.edges
+
+
+def test_cold_and_warm_cut_caches_agree():
+    """Every admissible corner chop under every face-fixing action on the
+    catalog models and their covers of index 2: a fresh copy of the model
+    per chop (cold cache) against one model shared by all the chops of a
+    group, asked twice (warm cache)."""
+    chops = cuts = 0
+    for make in CATALOG:
+        base = make()
+        models = [base] + [
+            cover(base, mat(a, b, 0, d))
+            for a, d in ((1, 2), (2, 1))
+            for b in range(a)
+        ]
+        for model in models:
+            for tag in GROUP_TAGS:
+                mats = canonical_group(tag)
+                warm = DimerModel(model.nodes, model.edges)
+                for action in symmetry_actions(warm, mats):
+                    if not action.fixed_faces():
+                        continue
+                    try:
+                        frame = exact_invariant_frame(poly_of(warm), mats)
+                    except ValueError:
+                        break
+                    for corner in frame:
+                        if not corner_chop_admissible(frame, mats, corner):
+                            continue
+                        cold = DimerModel(model.nodes, model.edges)
+                        want = _chop_outcome(cold, action, corner)
+                        assert _chop_outcome(warm, action, corner) == want
+                        assert _chop_outcome(warm, action, corner) == want
+                        chops += 1
+                        cuts += not isinstance(want[0], type)
+    assert chops > 150 and 50 < cuts < chops
