@@ -9,6 +9,13 @@ positive denominators, and nothing time- or path-dependent is written.
 The renderers draw one fundamental domain plus a quarter-unit margin of
 translated copies, with black nodes filled and white nodes open.
 
+synthesize --trace writes {"trace": [step, ...]}, each step one of:
+  classify  the group's tag and order;
+  direct    the catalog model, the sublattice basis and the marking M
+            whose cover realizes the envelope polygon listed;
+  chop      one corner orbit chopped, and the polygon left;
+  done      the final polygon.
+
 Exit codes: 0 success, 1 malformed input, 2 group not finite, 3 polygon
 not invariant, 4 verification failure, 5 no invariant matching, 6
 matching cap exceeded, 7 synthesis could not finish.
@@ -26,7 +33,6 @@ from .construct import (
     NotInvariantError,
     PlannerStuckError,
     Report,
-    UnsupportedGroupError,
     synthesize,
     verify_bundle,
 )
@@ -410,7 +416,7 @@ def cmd_synthesize(args) -> int:
     except NotInvariantError as exc:
         print(f"polygon is not invariant: {exc}", file=sys.stderr)
         return EXIT_NOT_INVARIANT
-    except (PlannerStuckError, UnsupportedGroupError) as exc:
+    except PlannerStuckError as exc:
         print(f"synthesis could not finish: {exc}", file=sys.stderr)
         steps = getattr(exc, "trace", None)
         if steps:

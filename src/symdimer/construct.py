@@ -2,21 +2,26 @@
 
 The catalog holds four hand-built consistent models whose characteristic
 polygons are the unit triangle, the unit square, the unit diamond, and
-the hexagon with vertices (1,0),(1,1),(0,1) and negatives.  Larger
-polygons are produced by covering a catalog model and cutting corners.
+the hexagon with vertices (1,0),(1,1),(0,1) and negatives.
 
-synthesize drives the whole pipeline: classify the group, conjugate the
-polygon into the canonical frame, pick an enveloping polygon realized by
-a catalog cover, cut the envelope's corner triangles symmetrically, then
-chop corner orbits until the polygon matches, and finally transport the
-result back to the caller's coordinates.
+synthesize plans in the caller's coordinates with the caller's group G.
+A polygon is realized directly when it is the polygon of a catalog
+model's sublattice cover under a marking change (a unimodular change of
+torus coordinates) on which G acts fixing a face.  Otherwise the planner
+searches breadth first for an envelope a few symmetric corner chops
+above the target that is realized directly, and chops it down, under one
+work budget.  The chops are the symmetric form of the corner cuts of
+Gulotta, Properly ordered dimers, R-charges, and an efficient inverse
+algorithm (arXiv:0807.3012).  verify_bundle re-checks a model from
+scratch.
 """
-
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dimer import (
     BLACK,
@@ -34,28 +39,26 @@ from .dimer import (
     validate,
 )
 from .lattice import (
-    GROUP_TAGS,
     DegenerateError,
     GroupClassification,
     Mat2,
     Vec,
-    canonical_group,
+    apply_matrix_to_polygon,
     classify_generators,
-    contains_point,
     convex_hull,
     corner_chop_admissible,
     exact_invariant_frame,
     generate_group,
-    is_invariant,
     lattice_points,
     normalize_translation,
     orbit,
+    polygon_area2,
+    primitive,
     remove_corner_orbit,
     same_up_to_translation,
-    translate_polygon,
 )
 from .matchings import characteristic_polygon
-from .surgery import SurgeryError, corner_chop, cover, gulotta_cut
+from .surgery import Budget, BudgetSpentError, SurgeryError, corner_chop, cover
 from .zigzag import (
     NonPrimitiveSlopeError,
     NotClosedError,
@@ -206,10 +209,6 @@ class NotInvariantError(ConstructError):
     """The polygon is not invariant under the requested group."""
 
 
-class UnsupportedGroupError(ConstructError):
-    """No envelope construction is known for the group tag."""
-
-
 class PlannerStuckError(ConstructError):
     """The planner could not reach the target polygon.
 
@@ -256,221 +255,210 @@ def transform_model(model: DimerModel, linear: Mat2) -> DimerModel:
 
 
 # ---------------------------------------------------------------------------
-# Envelope selection
+# Planning
+
+# Work budget of one synthesize call, in candidate cuts decided (runs of
+# surgery._cut, each of which re-embeds a model).
+BUDGET = 150
 
 
-@dataclass(frozen=True)
-class PreCut:
-    """One symmetric triangle cut: equal legs at every corner of the orbit
-    of the named corner, with the polygon expected afterwards."""
-
-    corner: Vec
-    k: int
-    m: int
-    after: Tuple[Vec, ...]
-
-
-@dataclass
-class EnvelopePlan:
-    """How to realize an enveloping polygon of the target.
-
-    The base recipe covers a catalog model by the sublattice spanned by
-    the rows of the basis; base_polygon is the cover's polygon placed in
-    the frame the target polygon lives in, and shift moves the raw
-    (origin-cornered) cover polygon onto it.  The pre-cuts then carve
-    the envelope out of the base polygon."""
-
-    envelope: Tuple[Vec, ...]
-    catalog: str
-    basis: Mat2
-    shift: Vec
-    pre_cuts: Tuple[PreCut, ...]
-    base_polygon: Tuple[Vec, ...]
-
-
-def _clip(poly: Sequence[Vec], constraints) -> Tuple[Vec, ...]:
-    """Hull of the polygon's lattice points satisfying f.p <= c for every
-    ((fx, fy), c) constraint."""
-    kept = [
-        p
-        for p in lattice_points(poly)
-        if all(f[0] * p[0] + f[1] * p[1] <= c for f, c in constraints)
+def _edge_vectors(poly: Sequence[Vec]) -> List[Vec]:
+    return [
+        (b[0] - a[0], b[1] - a[1]) for a, b in zip(poly, poly[1:] + poly[:1])
     ]
-    return convex_hull(kept)
 
 
-def _ceil_half(v: int) -> int:
-    return -(-v // 2)
+def _markings(src: Sequence[Vec], dst: Sequence[Vec]) -> List[Mat2]:
+    """Every unimodular M with M(src) == dst up to translation, sorted.
 
-
-def select_envelope(
-    polygon: Sequence[Vec], group: Union[GroupClassification, str]
-) -> EnvelopePlan:
-    """Choose an invariant enveloping polygon containing the target, with
-    a catalog cover recipe and the symmetric pre-cuts that carve it.
-
-    The polygon must be exactly invariant under the canonical group of
-    the tag; synthesize conjugates and recenters before calling this."""
-    tag = group.tag if isinstance(group, GroupClassification) else str(group)
-    if tag not in GROUP_TAGS:
-        raise UnsupportedGroupError(f"unknown group tag {tag!r}")
-    delta = convex_hull(polygon)
-    canon = canonical_group(tag)
-    if not is_invariant(delta, canon):
-        raise NotInvariantError(
-            f"polygon is not invariant under the canonical {tag} group"
-        )
-
-    def sup(fx: int, fy: int) -> int:
-        return max(fx * x + fy * y for x, y in delta)
-
-    pre: List[PreCut] = []
-    if tag in ("TRIVIAL", "C2"):
-        if tag == "TRIVIAL":
-            x0, x1 = -sup(-1, 0), sup(1, 0)
-            y0, y1 = -sup(0, -1), sup(0, 1)
-        else:
-            x1, y1 = sup(1, 0), sup(0, 1)
-            x0, y0 = -x1, -y1
-        env = convex_hull([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-        start = env
-        cat = "square"
-        basis = Mat2.from_rows(((x1 - x0, 0), (0, y1 - y0)))
-    elif tag in ("R1", "R2", "D4_1", "D4_2"):
-        # Mirror groups run on diamond covers of the fourfold-symmetric
-        # catalog model, whose reflections all fix a face; the diamond is
-        # recentred along the group's invariant directions and the chop
-        # loop carves everything below it.
-        if tag == "R1":
-            lo, hi = -sup(-1, 0), sup(1, 0)
-            center = ((lo + hi) // 2, 0)
-        elif tag == "R2":
-            spans = [(x + y) // 2 for x, y in delta]
-            best = None
-            for c in range(min(spans), max(spans) + 1):
-                radius = max(abs(x - c) + abs(y - c) for x, y in delta)
-                if best is None or radius < best[0]:
-                    best = (radius, c)
-            center = (best[1], best[1])
-        else:
-            center = (0, 0)
-        cx, cy = center
-        n = max(abs(x - cx) + abs(y - cy) for x, y in delta)
-        cat = "octagon"
-        basis = Mat2.from_rows(((n, 0), (0, n)))
-        env = convex_hull(
-            [(cx + n, cy), (cx, cy + n), (cx - n, cy), (cx, cy - n)]
-        )
-        start = env
-    elif tag in ("C4", "D8"):
-        n = max(sup(1, 1), sup(1, -1), sup(-1, 1), sup(-1, -1))
-        cat = "octagon"
-        basis = Mat2.from_rows(((n, 0), (0, n)))
-        env = convex_hull([(n, 0), (0, n), (-n, 0), (0, -n)])
-        start = env
-        if tag == "D8":
-            k = max(sup(1, 0), sup(0, 1), sup(-1, 0), sup(0, -1))
-            if k < n:
-                box = [((1, 0), k), ((-1, 0), k), ((0, 1), k), ((0, -1), k)]
-                after = _clip(env, box)
-                pre.append(PreCut(corner=(-n, 0), k=n - k, m=n - k, after=after))
-                env = after
-    elif tag in ("C3", "D6_1"):
-        n = max(sup(1, 0), sup(-1, 1), sup(0, -1))
-        cat = "hexagonal"
-        basis = Mat2.from_rows(((3 * n, 0), (0, 3 * n)))
-        env = convex_hull([(n, -n), (n, 2 * n), (-2 * n, -n)])
-        start = env
-        if tag == "D6_1":
-            t = min(
-                2 * n - sup(0, 1),
-                2 * n - sup(1, -1),
-                2 * n - sup(-1, 0),
-                (3 * n) // 2,
+    M sends the first two edges of src onto two consecutive edges of dst,
+    in order when det M = 1 and onto the reversed, negated edge sequence
+    when det M = -1; each choice fixes M, solved in integers."""
+    e0, e1 = _edge_vectors(src)[:2]
+    den = e0[0] * e1[1] - e0[1] * e1[0]
+    f = _edge_vectors(dst)
+    out = set()
+    for j in range(len(f)):
+        for g0, g1 in (
+            (f[j], f[(j + 1) % len(f)]),
+            ((-f[j][0], -f[j][1]), (-f[j - 1][0], -f[j - 1][1])),
+        ):
+            # M = [g0 g1] [e0 e1]^-1
+            num = (
+                g0[0] * e1[1] - g1[0] * e0[1],
+                g1[0] * e0[0] - g0[0] * e1[0],
+                g0[1] * e1[1] - g1[1] * e0[1],
+                g1[1] * e0[0] - g0[1] * e1[0],
             )
-            if t > 0:
-                cuts = [
-                    ((0, 1), 2 * n - t),
-                    ((1, -1), 2 * n - t),
-                    ((-1, 0), 2 * n - t),
-                ]
-                after = _clip(env, cuts)
-                pre.append(PreCut(corner=(-2 * n, -n), k=t, m=t, after=after))
-                env = after
-    else:  # C6, D6_2, D12
-        n = max(
-            sup(1, 0), sup(0, 1), sup(-1, 0), sup(0, -1), sup(1, -1), sup(-1, 1)
-        )
-        cat = "dodecagon"
-        basis = Mat2.from_rows(((n, 0), (0, n)))
-        hexn = convex_hull(
-            [(n, 0), (n, n), (0, n), (-n, 0), (-n, -n), (0, -n)]
-        )
-        env = hexn
-        start = env
-        if tag in ("D6_2", "D12"):
-            k = min(n, _ceil_half(max(sup(2, -1), sup(-1, -1), sup(-1, 2))))
-            l = min(n, _ceil_half(max(sup(1, 1), sup(-2, 1), sup(1, -2))))
-            cons_k = [((2, -1), 2 * k), ((-1, -1), 2 * k), ((-1, 2), 2 * k)]
-            cons_l = [((1, 1), 2 * l), ((-2, 1), 2 * l), ((1, -2), 2 * l)]
-            if tag == "D12":
-                if k != l:
-                    raise PlannerStuckError(
-                        f"sixfold mirror cuts disagree (k={k}, l={l})"
-                    )
-                if k < n:
-                    after = _clip(hexn, cons_k + cons_l)
-                    legs = 2 * (n - k)
-                    pre.append(
-                        PreCut(corner=(-n, -n), k=legs, m=legs, after=after)
-                    )
-                    env = after
-            else:
-                if k < n:
-                    stage = _clip(hexn, cons_k)
-                    legs = 2 * (n - k)
-                    pre.append(
-                        PreCut(corner=(-n, -n), k=legs, m=legs, after=stage)
-                    )
-                    env = stage
-                if l < n:
-                    stage = _clip(hexn, cons_k + cons_l)
-                    legs = 2 * (n - l)
-                    pre.append(
-                        PreCut(corner=(-n, 0), k=legs, m=legs, after=stage)
-                    )
-                    env = stage
+            if any(v % den for v in num):
+                continue
+            m = Mat2(*(v // den for v in num))
+            if m.det() in (1, -1) and same_up_to_translation(
+                apply_matrix_to_polygon(m, src), dst
+            ):
+                out.add(m)
+    return sorted(out)
 
-    # The cover's polygon is the catalog polygon mapped by the transpose
-    # of the sublattice basis; start is the same polygon placed in the
-    # frame the target lives in.
-    cover_poly = normalize_translation(
-        convex_hull(
-            [
-                (basis.a * x + basis.c * y, basis.b * x + basis.d * y)
-                for x, y in BASE_CHAR[cat]
-            ]
-        )
-    )
-    base = convex_hull(start)
-    shift = (base[0][0] - cover_poly[0][0], base[0][1] - cover_poly[0][1])
-    if tuple(translate_polygon(cover_poly, shift)) != tuple(base):
-        raise PlannerStuckError(
-            "cover polygon does not match the planned envelope frame"
-        )
-    for p in lattice_points(delta):
-        if not contains_point(env, p):
-            raise PlannerStuckError(
-                f"envelope {env} does not contain the target point {p}"
+
+def _direct(
+    envelope: Tuple[Vec, ...], group: Sequence[Mat2]
+) -> Optional[Tuple[DimerModel, dict]]:
+    """The first catalog cover, under a marking change, whose polygon in
+    the exact invariant frame is the envelope and on which the group acts
+    fixing a face; with its trace step, or None.
+
+    Catalogs go in CATALOG order, sublattices by their Hermite normal form
+    basis S = [[a, b], [0, d]] (0 <= b < a, a*d the index) in sorted
+    order, and markings as _markings sorts them.  The cover's polygon is
+    S^T applied to the catalog polygon, and the marking M acts on the
+    model through its inverse transpose."""
+    area = polygon_area2(envelope)
+    for name, make in CATALOG.items():
+        base = BASE_CHAR[name]
+        if len(base) != len(envelope) or area % polygon_area2(base):
+            continue
+        index = area // polygon_area2(base)
+        for a in range(1, index + 1):
+            if index % a:
+                continue
+            for b in range(a):
+                s = Mat2(a, b, 0, index // a)
+                marks = _markings(apply_matrix_to_polygon(s.transpose(), base), envelope)
+                if not marks:
+                    continue
+                raw = cover(make(), s)
+                for m in marks:
+                    model = transform_model(raw, m.contragredient())
+                    if exact_invariant_frame(_poly_of(model), group) != envelope:
+                        continue
+                    if _fixing_action(model, group) is None:
+                        continue
+                    step = {
+                        "step": "direct",
+                        "catalog": name,
+                        "basis": s.rows(),
+                        "marking": m.rows(),
+                        "polygon": [list(v) for v in envelope],
+                    }
+                    return model, step
+    return None
+
+
+def _outer_lattice_points(poly: Sequence[Vec]) -> List[Vec]:
+    """Lattice points outside the polygon at lattice distance at most one
+    from the line of every side: the only points a corner chop can have
+    taken off."""
+    sides = []
+    for (x, y), d in zip(poly, _edge_vectors(poly)):
+        n = (primitive(d)[1], -primitive(d)[0])
+        sides.append((n, n[0] * x + n[1] * y + 1))
+    # The region's corners: the crossings of its side lines that it holds.
+    corners = []
+    for (n1, k1), (n2, k2) in itertools.combinations(sides, 2):
+        den = n1[0] * n2[1] - n1[1] * n2[0]
+        if den:
+            x = F(k1 * n2[1] - k2 * n1[1], den)
+            y = F(n1[0] * k2 - n2[0] * k1, den)
+            if all(n[0] * x + n[1] * y <= k for n, k in sides):
+                corners.append((x, y))
+    xs, ys = zip(*corners)
+    inside = set(lattice_points(poly))
+    out = []
+    for x in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
+        for y in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
+            if (x, y) not in inside and all(
+                n[0] * x + n[1] * y <= k for n, k in sides
+            ):
+                out.append((x, y))
+    return out
+
+
+def _envelopes_above(
+    poly: Tuple[Vec, ...], group: Sequence[Mat2]
+) -> Dict[Tuple[Vec, ...], Vec]:
+    """The invariant polygons E one corner chop above the exactly
+    invariant polygon: E = hull(poly and the orbit of a lattice point p)
+    has no lattice points but those two, p is an admissible corner of E,
+    and chopping p's orbit off E leaves poly.  Maps each E, moved to its
+    exact invariant frame, to the corner to chop, moved with it."""
+    inside = set(lattice_points(poly))
+    out: Dict[Tuple[Vec, ...], Vec] = {}
+    for p in _outer_lattice_points(poly):
+        orb = orbit(group, p)
+        env = convex_hull(poly + orb)
+        if p not in env or set(lattice_points(env)) != inside.union(orb):
+            continue
+        if not corner_chop_admissible(env, group, p):
+            continue
+        if remove_corner_orbit(env, group, p) != poly:
+            continue
+        framed = exact_invariant_frame(env, group)
+        corner = (p[0] + framed[0][0] - env[0][0], p[1] + framed[0][1] - env[0][1])
+        out[framed] = min(corner, out.get(framed, corner))
+    return out
+
+
+def _fixing_action(model: DimerModel, group: Sequence[Mat2]) -> Optional[SymmetryAction]:
+    try:
+        return find_symmetry(model, group, require_fixed_face=True)
+    except (NotSymmetricError, NoFixedFaceError):
+        return None
+
+
+def _chop_down(
+    model: DimerModel, chops, group: Sequence[Mat2], budget: Budget
+) -> Optional[Tuple[DimerModel, List[dict]]]:
+    """Follow the recorded chops (corner, polygon left) down from a
+    realized envelope: each tries every action of the group, keeping a
+    fixed face, and must land in the expected exact invariant frame.
+    None when a chop fails."""
+    steps = []
+    for corner, below in chops:
+        try:
+            chopped = corner_chop(
+                model,
+                symmetry_actions(model, group),
+                corner,
+                target=below,
+                accept=lambda m: _fixing_action(m, group) is not None,
+                budget=budget,
             )
-    return EnvelopePlan(
-        envelope=env,
-        catalog=cat,
-        basis=basis,
-        shift=shift,
-        pre_cuts=tuple(pre),
-        base_polygon=base,
-    )
+        except SurgeryError:
+            return None
+        if exact_invariant_frame(_poly_of(chopped), group) != below:
+            return None
+        model = chopped
+        steps.append(
+            {"step": "chop", "corner": list(corner), "polygon": [list(v) for v in below]}
+        )
+    return model, steps
+
+
+def _plan(
+    target: Tuple[Vec, ...], group: Sequence[Mat2], budget: Budget
+) -> Optional[Tuple[DimerModel, List[dict]]]:
+    """Breadth-first search over envelopes of the target, by number of
+    chops, then by area and polygon: the first envelope that is realized
+    directly and chops down to the target wins.  None when no envelope
+    is left to try; BudgetSpentError when the budget runs out first."""
+    level = [(target, ())]
+    seen = {target}
+    while level:
+        for env, chops in level:
+            found = _direct(env, group)
+            if found is None:
+                continue
+            done = _chop_down(found[0], chops, group, budget)
+            if done is not None:
+                return done[0], [found[1]] + done[1]
+        grown = {}
+        for env, chops in level:
+            for up, corner in _envelopes_above(env, group).items():
+                if up not in seen:
+                    seen.add(up)
+                    grown[up] = ((corner, env),) + chops
+        level = sorted(grown.items(), key=lambda s: (polygon_area2(s[0]), s[0]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +469,8 @@ def select_envelope(
 class SymmetricDimer:
     """A consistent dimer model with a group action realizing a polygon.
 
-    polygon is the characteristic polygon in the caller's coordinates."""
+    polygon is the characteristic polygon in the caller's coordinates, in
+    the translate that every group element fixes."""
 
     model: DimerModel
     action: SymmetryAction
@@ -495,219 +484,51 @@ def _poly_of(model: DimerModel) -> Tuple[Vec, ...]:
     return zigzag_polygon([p.slope for p in zigzag_paths(model)])
 
 
-def _align(frame, reference, mats) -> Optional[Vec]:
-    """Translation t with reference + t == frame, valid only when t is
-    fixed by every group element."""
-    t = (frame[0][0] - reference[0][0], frame[0][1] - reference[0][1])
-    if tuple(translate_polygon(reference, t)) != tuple(frame):
-        return None
-    for h in mats:
-        if h.apply(t) != t:
-            return None
-    return t
-
-
 def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricDimer:
-    """Build a consistent symmetric dimer model whose characteristic
-    polygon is exactly the given invariant polygon.
+    """Build a consistent dimer model whose characteristic polygon is the
+    given invariant polygon, with an action of the generated group G that
+    fixes a face.
 
-    The group is classified and the problem moved to the canonical frame;
-    there an enveloping polygon is realized as a sublattice cover of a
-    catalog model, corner triangles are cut symmetrically, and corner
-    orbits are chopped until the polygon matches; the result is carried
-    back through the conjugation."""
-    delta_caller = convex_hull(polygon)
+    Everything happens in the caller's coordinates with G itself.  The
+    polygon P is moved to its exact invariant frame.  A breadth-first
+    search then looks for an envelope E, k corner chops above P, that is
+    a catalog cover under a marking change with a face-fixing action of
+    G (k = 0 first: P itself), and chops E down to P along the recorded
+    corners, each chop keeping a face fixed.  All chops share one work
+    budget of BUDGET candidate cuts.  The trace lists the steps:
+    classify, direct, one chop per corner orbit, done.  Raises
+    NotInvariantError when P is not G-invariant and PlannerStuckError
+    (carrying the trace so far) when the budget runs out or no envelope
+    is left."""
     cls = classify_generators(list(generators))
-    canon = canonical_group(cls.tag)
-    p = cls.conjugator
-    p_inv = p.inverse()
+    group = cls.elements
     trace: List[dict] = [
         {"step": "classify", "tag": cls.tag, "order": cls.order}
     ]
-    delta_raw = convex_hull([p_inv.apply(v) for v in delta_caller])
     try:
-        delta_can = exact_invariant_frame(delta_raw, canon)
+        target = exact_invariant_frame(convex_hull(polygon), group)
     except ValueError as exc:
         raise NotInvariantError(str(exc)) from exc
-    plan = select_envelope(delta_can, cls.tag)
-    trace.append(
-        {
-            "step": "envelope",
-            "catalog": plan.catalog,
-            "basis": [[plan.basis.a, plan.basis.b], [plan.basis.c, plan.basis.d]],
-            "envelope": [list(v) for v in plan.envelope],
-            "pre_cuts": len(plan.pre_cuts),
-        }
-    )
-    model = cover(CATALOG[plan.catalog](), plan.basis)
+    budget = Budget(BUDGET)
     try:
-        find_symmetry(model, canon)
-    except NotSymmetricError as exc:
-        raise PlannerStuckError("cover model lost the group action", trace) from exc
-    frame = exact_invariant_frame(_poly_of(model), canon)
-    t = _align(frame, plan.base_polygon, canon)
-    if t is None:
-        raise PlannerStuckError("cover polygon sits in an unexpected frame", trace)
-    target = translate_polygon(delta_can, t)
-
-    def _keeps_fixed_face(m: DimerModel) -> bool:
-        try:
-            find_symmetry(m, canon, require_fixed_face=True)
-        except (NotSymmetricError, NoFixedFaceError):
-            return False
-        return True
-
-    def _resync(expected) -> None:
-        nonlocal frame, t, target
-        try:
-            find_symmetry(model, canon)
-        except NotSymmetricError as exc:
-            raise PlannerStuckError("group action lost after a cut", trace) from exc
-        frame = exact_invariant_frame(_poly_of(model), canon)
-        drift = _align(frame, expected, canon)
-        if drift is None:
-            raise PlannerStuckError("polygon drifted out of reach after a cut", trace)
-        t = (t[0] + drift[0], t[1] + drift[1])
-        target = translate_polygon(target, drift)
-
-    for cut in plan.pre_cuts:
-        corner_frame = (cut.corner[0] + t[0], cut.corner[1] + t[1])
-        norm = normalize_translation(frame)
-        sigma = (norm[0][0] - frame[0][0], norm[0][1] - frame[0][1])
-        corner_norm = (corner_frame[0] + sigma[0], corner_frame[1] + sigma[1])
-        expected = translate_polygon(cut.after, t)
-        expected_norm = translate_polygon(expected, sigma)
-        cut_model = None
-        last_err: Optional[Exception] = None
-        for act in symmetry_actions(model, canon):
-            try:
-                cut_model = gulotta_cut(
-                    model,
-                    corner_norm,
-                    k=cut.k,
-                    m=cut.m,
-                    expected=expected_norm,
-                    action=act,
-                    accept=_keeps_fixed_face,
-                )
-                break
-            except SurgeryError as exc:
-                last_err = exc
-        if cut_model is None:
-            # Pre-cuts are an optimization; when one cannot be realized the
-            # corner chops below still carve down to the target.
-            trace.append(
-                {
-                    "step": "cut-skipped",
-                    "corner": list(cut.corner),
-                    "legs": cut.k,
-                    "reason": str(last_err),
-                }
-            )
-            break
-        model = cut_model
-        _resync(expected)
-        trace.append(
-            {
-                "step": "cut",
-                "corner": list(cut.corner),
-                "legs": cut.k,
-                "polygon": [list(v) for v in translate_polygon(frame, (-t[0], -t[1]))],
-            }
-        )
-
-    chop_budget = [48]
-
-    def _chop_search(mdl, frm, tt, tgt):
-        """Depth-first search over chop orders; each chop strictly shrinks
-        the polygon, so the recursion terminates.  Returns the finished
-        state and the trace steps, or None when this branch dead-ends."""
-        if tuple(frm) == tuple(tgt):
-            return mdl, []
-        tpts = set(lattice_points(tgt))
-        candidates = [
-            c
-            for c in frm
-            if not (set(orbit(canon, c)) & tpts)
-            and corner_chop_admissible(frm, canon, c)
-        ]
-        for c in sorted(candidates):
-            if chop_budget[0] <= 0:
-                return None
-            expected = remove_corner_orbit(frm, list(canon), c)
-            chopped = None
-            for act in symmetry_actions(mdl, canon):
-                if chop_budget[0] <= 0:
-                    return None
-                chop_budget[0] -= 1
-                try:
-                    chopped = corner_chop(
-                        mdl, act, c, target=expected, accept=_keeps_fixed_face
-                    )
-                    break
-                except SurgeryError:
-                    continue
-            if chopped is None:
-                continue
-            new_frame = exact_invariant_frame(_poly_of(chopped), canon)
-            drift = _align(new_frame, expected, canon)
-            if drift is None:
-                continue
-            new_t = (tt[0] + drift[0], tt[1] + drift[1])
-            new_target = translate_polygon(tgt, drift)
-            res = _chop_search(chopped, new_frame, new_t, new_target)
-            if res is not None:
-                final, steps = res
-                steps.insert(
-                    0,
-                    {
-                        "step": "chop",
-                        "corner": list(c),
-                        "polygon": [
-                            list(v)
-                            for v in translate_polygon(
-                                new_frame, (-new_t[0], -new_t[1])
-                            )
-                        ],
-                    },
-                )
-                return final, steps
-        return None
-
-    if tuple(frame) != tuple(target):
-        found = _chop_search(model, frame, t, target)
-        if found is None:
-            raise PlannerStuckError(
-                "no sequence of corner chops reaches the target polygon", trace
-            )
-        model, steps = found
-        trace.extend(steps)
-
-    if p.a != 1 or p.b != 0 or p.c != 0 or p.d != 1:
-        # The polygon transforms by the contragredient of the marking
-        # change, so conjugating by the inverse transpose realizes p.
-        lin = Mat2.from_rows(((p_inv.a, p_inv.c), (p_inv.b, p_inv.d)))
-        model = transform_model(model, lin)
-        trace.append(
-            {"step": "transport", "linear": [[lin.a, lin.b], [lin.c, lin.d]]}
-        )
-    try:
-        out_action = find_symmetry(model, cls.elements, require_fixed_face=True)
-    except (NotSymmetricError, NoFixedFaceError) as exc:
+        found = _plan(target, group, budget)
+    except BudgetSpentError as exc:
+        raise PlannerStuckError(f"planner {exc}", trace) from exc
+    if found is None:
         raise PlannerStuckError(
-            f"finished model has no face-fixing group action: {exc}", trace
-        ) from exc
-    out_poly = convex_hull([p.apply(v) for v in delta_can])
-    out_frame = exact_invariant_frame(_poly_of(model), cls.elements)
-    if _align(out_frame, out_poly, cls.elements) is None:
-        raise PlannerStuckError("final polygon sits in an unexpected frame", trace)
-    ff = fixed_face(out_action)
-    trace.append({"step": "done", "polygon": [list(v) for v in out_poly]})
+            f"no envelope of the polygon chops down to it "
+            f"({budget.spent} of {budget.limit} candidate cuts decided)",
+            trace,
+        )
+    model, steps = found
+    trace.extend(steps)
+    action = find_symmetry(model, group, require_fixed_face=True)
+    trace.append({"step": "done", "polygon": [list(v) for v in target]})
     return SymmetricDimer(
         model=model,
-        action=out_action,
-        fixed_face=ff,
-        polygon=out_poly,
+        action=action,
+        fixed_face=fixed_face(action),
+        polygon=target,
         trace=trace,
         classification=cls,
     )

@@ -1,17 +1,19 @@
-"""Covers, edge deletion, re-embedding, and corner cuts.
+"""Covers, edge deletion, re-embedding, and symmetric corner chops.
 
-The two cutting operations work by deleting the edges where chosen zigzag
-paths cross, collapsing the divalent nodes this leaves behind, and
-computing a fresh harmonic embedding.  Every candidate outcome is
-verified from scratch (geometry, consistency, zigzag polygon) before it
-is accepted, once per source model: the verdict is kept on the model.
+A corner chop deletes the edges where a pair of zigzag paths of the
+corner's two sides cross, together with their whole group orbit,
+collapses the divalent nodes this leaves behind, and computes a fresh
+harmonic embedding.  Every candidate outcome is verified from scratch
+(geometry, consistency, zigzag polygon) before it is accepted, once per
+source model: the verdict is kept on the model, and a search may charge
+each decision to a work budget.
 """
 
 import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dimer import (
     DimerModel,
@@ -67,10 +69,6 @@ class EmbeddingFailedError(SurgeryError):
 
 class WholePolygonError(SurgeryError):
     """The requested cut would remove the whole polygon."""
-
-
-class SelectionFailedError(SurgeryError):
-    """No selection of crossing zigzag paths realizes the cut."""
 
 
 class SearchExhaustedError(SurgeryError):
@@ -322,22 +320,13 @@ def reembed(model: DimerModel) -> DimerModel:
 
 def _corner_sides(poly: Sequence[Vec], corner: Vec):
     """For a corner of a counterclockwise convex polygon: the primitive
-    directions and lattice lengths of the incoming side (from the previous
-    corner) and the outgoing side (toward the next corner)."""
-    poly = tuple(poly)
-    corner = (int(corner[0]), int(corner[1]))
-    if corner not in poly:
-        raise ValueError(f"{corner} is not a corner of {poly}")
+    directions of the incoming side (from the previous corner) and the
+    outgoing side (toward the next corner)."""
     i = poly.index(corner)
-    prev = poly[i - 1]
-    nxt = poly[(i + 1) % len(poly)]
-    v_in = (corner[0] - prev[0], corner[1] - prev[1])
-    v_out = (nxt[0] - corner[0], nxt[1] - corner[1])
-    d_in = primitive(v_in)
-    d_out = primitive(v_out)
-    len_in = v_in[0] // d_in[0] if d_in[0] else v_in[1] // d_in[1]
-    len_out = v_out[0] // d_out[0] if d_out[0] else v_out[1] // d_out[1]
-    return d_in, d_out, len_in, len_out
+    prev, nxt = poly[i - 1], poly[(i + 1) % len(poly)]
+    d_in = primitive((corner[0] - prev[0], corner[1] - prev[1]))
+    d_out = primitive((nxt[0] - corner[0], nxt[1] - corner[1]))
+    return d_in, d_out
 
 
 def _side_normal(d: Vec) -> Vec:
@@ -346,55 +335,56 @@ def _side_normal(d: Vec) -> Vec:
     return (d[1], -d[0])
 
 
-def triangle_cut_target(
-    poly: Sequence[Vec], corner: Vec, k: int, m: int
-) -> Tuple[Vec, ...]:
-    """Polygon left after cutting the triangle with apex at the corner and
-    legs of lattice length k along the outgoing side and m along the
-    incoming side.  Raises WholePolygonError when nothing two-dimensional
-    remains and ValueError when a leg overshoots its side."""
-    poly = convex_hull(poly)
-    corner = (int(corner[0]), int(corner[1]))
-    d_in, d_out, len_in, len_out = _corner_sides(poly, corner)
-    if not 1 <= k <= len_out:
-        raise ValueError(
-            f"leg k={k} must lie in 1..{len_out} (outgoing side length)"
-        )
-    if not 1 <= m <= len_in:
-        raise ValueError(
-            f"leg m={m} must lie in 1..{len_in} (incoming side length)"
-        )
-    r = (corner[0] + k * d_out[0], corner[1] + k * d_out[1])
-    rp = (corner[0] - m * d_in[0], corner[1] - m * d_in[1])
-    pts = [c for c in poly if c != corner] + [r, rp]
-    try:
-        hull = convex_hull(pts)
-    except DegenerateError:
-        raise WholePolygonError("cut removes the whole polygon") from None
-    if polygon_area2(hull) == 0:
-        raise WholePolygonError("cut flattens the polygon")
-    return hull
-
-
 # ---------------------------------------------------------------------------
 # Verified cutting engine
 
-# Maximum candidate selections a cut search may try.
-SEARCH_BUDGET = 100000
+
+class BudgetSpentError(Exception):
+    """A search ran out of its work budget.  Not a SurgeryError: it ends
+    the whole search, not one candidate."""
 
 
-def _orbit_edges(action: Optional[SymmetryAction], seed: Set[int]) -> Set[int]:
-    if action is None:
-        return set(seed)
-    out = set(seed)
-    while True:
-        grown = set(out)
-        for h in action.elements:
-            perm = action.edge_perm(h)
-            grown.update(perm[e] for e in out)
-        if grown == out:
-            return out
-        out = grown
+class Budget:
+    """A work allowance counted in candidate cuts decided: runs of _cut,
+    each of which re-embeds a model.  Verdicts already kept on a model
+    cost nothing."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self) -> None:
+        if self.spent >= self.limit:
+            raise BudgetSpentError(
+                f"work budget spent: {self.spent} of {self.limit} candidate "
+                f"cuts decided"
+            )
+        self.spent += 1
+
+
+def _edge_orbits(action: SymmetryAction) -> Dict[int, FrozenSet[int]]:
+    """Each edge's orbit under the maps the action's elements generate.
+
+    Generated, not one image per element: the element maps of an action
+    on a model with extra translations need not compose as the group
+    does."""
+    perms = [action.edge_perm(h) for h in action.elements]
+    orbits: Dict[int, FrozenSet[int]] = {}
+    for start in perms[0]:  # every edge id
+        if start in orbits:
+            continue
+        orb = {start}
+        todo = [start]
+        while todo:
+            e = todo.pop()
+            for perm in perms:
+                if perm[e] not in orb:
+                    orb.add(perm[e])
+                    todo.append(perm[e])
+        frozen = frozenset(orb)
+        for e in orb:
+            orbits[e] = frozen
+    return orbits
 
 
 def _cut(
@@ -425,19 +415,20 @@ def _try_cut(
     doomed: Set[int],
     target: Tuple[Vec, ...],
     accept=None,
+    budget: Optional[Budget] = None,
 ) -> Optional[DimerModel]:
     """_cut, decided once per (model, deleted edges, target) and kept on
-    the source model in model._cuts; then the acceptance predicate (if
-    any).
+    the source model in model._cuts, each decision charged to the budget
+    (if any); then the acceptance predicate (if any).
 
-    The symmetric searches meet the same candidate again and again: the
-    corners of one orbit, other actions on the same model, and the
-    subtrees re-explored after backtracking, which start from the same
-    cached model object and so hit its own cache.  _cut depends only on
-    the key, so its verdict is cached; accept may depend on the caller
-    and runs on every call."""
+    A chop meets the same candidate again under other actions of the
+    group, and a repeated chop of the same model object meets all of
+    them again.  _cut depends only on the key, so its verdict is cached;
+    accept may depend on the caller and runs on every call."""
     key = (frozenset(doomed), target)
     if key not in model._cuts:
+        if budget is not None:
+            budget.charge()
         model._cuts[key] = _cut(model, doomed, target)
     cut = model._cuts[key]
     if cut is None or (accept is not None and not accept(cut)):
@@ -445,99 +436,35 @@ def _try_cut(
     return cut
 
 
-def gulotta_cut(
-    model: DimerModel,
-    corner: Vec,
-    k: int = 1,
-    m: int = 1,
-    expected: Optional[Sequence[Vec]] = None,
-    action: Optional[SymmetryAction] = None,
-    accept=None,
-) -> DimerModel:
-    """Cut the triangle with legs k and m off the named corner of the
-    model's zigzag polygon (in its normalized frame, lexicographically
-    smallest corner at the origin).
-
-    The corner's outgoing side contributes k zigzag paths and its
-    incoming side m paths; for each selection, all pairwise crossing
-    edges are deleted, the model is collapsed and re-embedded, and the
-    outcome is accepted only if it is valid, consistent, and realizes the
-    target polygon.  With an action, the deleted edge set is closed under
-    the group orbit, which cuts the whole orbit of the corner at once; an
-    explicit expected polygon is then required because the outcome is no
-    longer the single-corner cut.  Raises WholePolygonError when the
-    triangle is the whole polygon and SelectionFailedError when no
-    selection verifies."""
-    paths = zigzag_paths(model)
-    poly = zigzag_polygon([p.slope for p in paths])
-    corner = (int(corner[0]), int(corner[1]))
-    d_in, d_out, _len_in, _len_out = _corner_sides(poly, corner)
-    if action is None:
-        target = triangle_cut_target(poly, corner, k, m)
-        if expected is not None:
-            want = normalize_translation(convex_hull(expected))
-            if want != normalize_translation(target):
-                raise ValueError(
-                    f"expected polygon {want} does not match the cut target "
-                    f"{normalize_translation(target)}"
-                )
-    else:
-        if expected is None:
-            raise ValueError(
-                "an orbit cut needs the expected polygon spelled out"
-            )
-        target = convex_hull(expected)
-    target = normalize_translation(target)
-    fam_out = [p for p in paths if p.slope == _side_normal(d_out)]
-    fam_in = [p for p in paths if p.slope == _side_normal(d_in)]
-    tried = 0
-    for sel_out in itertools.combinations(fam_out, k):
-        for sel_in in itertools.combinations(fam_in, m):
-            seed: Set[int] = set()
-            ok = True
-            for z1 in sel_out:
-                for z2 in sel_in:
-                    shared = set(z1.edge_ids()) & set(z2.edge_ids())
-                    if not shared:
-                        ok = False
-                        break
-                    seed |= shared
-                if not ok:
-                    break
-            if not ok:
-                continue
-            tried += 1
-            if tried > SEARCH_BUDGET:
-                raise SearchExhaustedError(
-                    f"cut search exceeded its budget of {SEARCH_BUDGET} selections"
-                )
-            cut = _try_cut(model, _orbit_edges(action, seed), target, accept)
-            if cut is not None:
-                return cut
-    raise SelectionFailedError(
-        f"no zigzag path selection realizes the cut "
-        f"({tried} candidate selections tried)"
-    )
-
-
 def corner_chop(
     model: DimerModel,
-    action: SymmetryAction,
+    actions: Iterable[SymmetryAction],
     corner: Vec,
     target: Optional[Sequence[Vec]] = None,
     accept=None,
+    budget: Optional[Budget] = None,
 ) -> DimerModel:
-    """Remove the orbit of one polygon corner symmetrically.
+    """Remove the orbit of one polygon corner symmetrically, under the
+    first of the actions (all of one group) that realizes the chop.
 
     The corner is named in the exactly invariant frame of the zigzag
     polygon (the translate fixed setwise by every group element).  The
     chop must be admissible: no other corner in the orbit is joined to
     this one by a primitive boundary segment.  By default the target is
-    the hull of the remaining lattice points; candidate crossing pairs at
-    the corner are resolved together with their whole orbit and verified.
-    Raises WholePolygonError when nothing remains and SearchExhaustedError
-    when no symmetric resolution verifies."""
-    mats = list(action.elements)
+    the hull of the remaining lattice points.  Under each action in turn,
+    every crossing pair of zigzag paths of the corner's two sides is
+    resolved together with its whole edge orbit, and the outcome
+    verified.  An action whose edge orbits repeat an earlier one's is
+    skipped: it would decide the same candidates in the same order.
+    Each candidate decided is charged to the budget, if one is given.
+    Raises WholePolygonError when nothing remains, SearchExhaustedError
+    when no symmetric resolution verifies, and BudgetSpentError when the
+    budget runs out first."""
+    actions = iter(actions)
+    first = next(actions, None)
+    if first is None:
+        raise SearchExhaustedError("no action of the group on the model")
+    mats = list(first.elements)
     paths = zigzag_paths(model)
     poly = zigzag_polygon([p.slope for p in paths])
     frame = exact_invariant_frame(poly, mats)
@@ -561,7 +488,7 @@ def corner_chop(
     # invariant frame and the model frame drops out.
     want = normalize_translation(convex_hull(target))
 
-    d_in, d_out, _li, _lo = _corner_sides(frame, corner)
+    d_in, d_out = _corner_sides(frame, corner)
     fam_out = [p for p in paths if p.slope == _side_normal(d_out)]
     fam_in = [p for p in paths if p.slope == _side_normal(d_in)]
     if not fam_out or not fam_in:
@@ -569,20 +496,22 @@ def corner_chop(
             f"no zigzag paths with the corner's side slopes "
             f"{_side_normal(d_out)} and {_side_normal(d_in)}"
         )
+    seeds = [
+        set(z1.edge_ids()) & set(z2.edge_ids()) for z1 in fam_out for z2 in fam_in
+    ]
+    seeds = [seed for seed in seeds if seed]
+    seen = set()
     tried = 0
-    for z1 in fam_out:
-        shared1 = set(z1.edge_ids())
-        for z2 in fam_in:
-            seed = shared1 & set(z2.edge_ids())
-            if not seed:
-                continue
+    for action in itertools.chain((first,), actions):
+        orbits = _edge_orbits(action)
+        partition = frozenset(orbits.values())
+        if partition in seen:
+            continue
+        seen.add(partition)
+        for seed in seeds:
             tried += 1
-            if tried > SEARCH_BUDGET:
-                raise SearchExhaustedError(
-                    f"chop search exceeded its budget of {SEARCH_BUDGET} pairs"
-                )
-            doomed = _orbit_edges(action, seed)
-            cut = _try_cut(model, doomed, want, accept)
+            doomed = frozenset().union(*(orbits[e] for e in seed))
+            cut = _try_cut(model, doomed, want, accept, budget)
             if cut is not None:
                 return cut
     raise SearchExhaustedError(

@@ -8,16 +8,16 @@ paths consume every directed edge side exactly once.
 
 A model is consistent when no path has zero slope, no two paths of
 equal slope share an edge, and around every node the strand order
-agrees with the counterclockwise order of their slopes.  The bounded
-universal-cover check in consistency_via_cover evaluates the same
-notion directly from lifted paths and is used as a cross-check.
+agrees with the counterclockwise order of their slopes.  The tests
+cross-check this against a bounded check of the same notion on lifted
+paths in the universal cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .dimer import WHITE, DimerModel, angle_equal, angle_less, rotation_system
 from .lattice import Vec, convex_hull, normalize_translation, primitive
@@ -31,10 +31,6 @@ class NotClosedError(Exception):
 
 class NonPrimitiveSlopeError(Exception):
     """A nonzero slope is an integer multiple of a shorter vector."""
-
-
-class WindowTooSmallError(Exception):
-    """The translate window cannot hold the lifted paths."""
 
 
 @dataclass(frozen=True)
@@ -189,169 +185,3 @@ def check_consistency(model: DimerModel) -> ConsistencyVerdict:
         misordered_nodes=tuple(misordered),
     )
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# Universal cover
-
-
-@dataclass(frozen=True)
-class CoverIntersection:
-    edge: int
-    translate: Vec  # translate of the shared edge copy
-    lift: Vec  # which lift of the second path meets the base lift of the first
-    time1: int
-    time2: int
-
-
-def _walk_translates(model: DimerModel, path: ZigzagPath) -> List[Vec]:
-    """Translate of the edge copy used by each side of the base lift."""
-    out = []
-    tx = ty = 0
-    for eid, d in path.sides:
-        o = model.edge(eid).offset
-        if d == 1:
-            out.append((tx, ty))
-            tx += o[0]
-            ty += o[1]
-        else:
-            tx -= o[0]
-            ty -= o[1]
-            out.append((tx, ty))
-    return out
-
-
-def _span(vals: Iterable[Vec]) -> int:
-    m = 0
-    for v in vals:
-        m = max(m, abs(v[0]), abs(v[1]))
-    return m
-
-
-def universal_cover_intersections(
-    model: DimerModel,
-    z1: ZigzagPath,
-    z2: ZigzagPath,
-    window: int,
-) -> List[CoverIntersection]:
-    """Shared edge copies between the base lift of z1 and every lift of z2
-    whose translate lies in the window box.  Identical parameter points are
-    skipped when z1 and z2 are the same path."""
-    w1 = _walk_translates(model, z1)
-    w2 = _walk_translates(model, z2)
-    need = max(_span(w1), _span(w2), _span([z1.slope, z2.slope])) + 1
-    if window < need:
-        raise WindowTooSmallError(
-            f"window {window} below required {need}"
-        )
-
-    def copies(path: ZigzagPath, walk: List[Vec]):
-        u = path.slope
-        out = {}
-        n = len(path.sides)
-        if u == (0, 0):
-            ks: Sequence[int] = (0,)
-        else:
-            reach = 3 * window + 2 * _span(walk) + 2
-            ks = range(-reach, reach + 1)
-        for i, (eid, _) in enumerate(path.sides):
-            base = walk[i]
-            for k in ks:
-                t = (base[0] + k * u[0], base[1] + k * u[1])
-                if abs(t[0]) <= window and abs(t[1]) <= window:
-                    out.setdefault((eid, t), []).append(i + k * n)
-        return out
-
-    c1 = copies(z1, w1)
-    c2 = copies(z2, w2)
-    same = z1.sides == z2.sides
-
-    def deck_shift(s: Vec) -> Optional[int]:
-        # k such that s = k * slope: translating a lift by a multiple of its
-        # slope gives the same curve with parameters shifted by k periods
-        u = z1.slope
-        if u == (0, 0):
-            return 0 if s == (0, 0) else None
-        for k_num, k_den in ((s[0], u[0]), (s[1], u[1])):
-            if k_den != 0:
-                if k_num % k_den != 0:
-                    return None
-                k = k_num // k_den
-                if (k * u[0], k * u[1]) == s:
-                    return k
-                return None
-        return None
-
-    records = []
-    for s_x in range(-window, window + 1):
-        for s_y in range(-window, window + 1):
-            s = (s_x, s_y)
-            shift = deck_shift(s) if same else None
-            for (eid, t2), times2 in c2.items():
-                t = (t2[0] + s[0], t2[1] + s[1])
-                if abs(t[0]) > window or abs(t[1]) > window:
-                    continue
-                times1 = c1.get((eid, t))
-                if not times1:
-                    continue
-                for time1 in times1:
-                    for time2 in times2:
-                        if shift is not None and time1 - time2 == shift * len(z1.sides):
-                            continue
-                        records.append(
-                            CoverIntersection(
-                                edge=eid, translate=t, lift=s,
-                                time1=time1, time2=time2,
-                            )
-                        )
-    records.sort(key=lambda r: (r.lift, r.time1, r.time2, r.edge))
-    return records
-
-
-def consistency_via_cover(
-    model: DimerModel, window: Optional[int] = None
-) -> Tuple[bool, List[str]]:
-    """Direct bounded check of the cover conditions: no trivial class, no
-    lift meeting itself or a translate of itself, and no pair of lifts
-    intersecting twice in the same direction."""
-    paths = zigzag_paths(model)
-    reasons: List[str] = []
-    for p in paths:
-        if p.slope == (0, 0):
-            reasons.append(f"path {p.id} is homologically trivial")
-    if window is None:
-        span = max(
-            (_span(_walk_translates(model, p)) for p in paths), default=0
-        )
-        maxslope = max((_span([p.slope]) for p in paths), default=0)
-        window = span + 2 * maxslope + 2
-    for a in range(len(paths)):
-        for b in range(a, len(paths)):
-            recs = universal_cover_intersections(model, paths[a], paths[b], window)
-            if a == b:
-                if recs:
-                    reasons.append(
-                        f"lifts of path {a} intersect (edge {recs[0].edge})"
-                    )
-                continue
-            by_lift: Dict[Vec, List[CoverIntersection]] = {}
-            for r in recs:
-                by_lift.setdefault(r.lift, []).append(r)
-            for s, group in sorted(by_lift.items()):
-                hit = False
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        d1 = group[i].time1 - group[j].time1
-                        d2 = group[i].time2 - group[j].time2
-                        if d1 * d2 > 0:
-                            reasons.append(
-                                f"paths {a} and {b} meet twice in the same "
-                                f"direction (lift {s})"
-                            )
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-    return (not reasons, reasons)

@@ -1,4 +1,6 @@
-"""Envelope planning, symmetric synthesis, and bundle verification."""
+"""Symmetric synthesis, its case-set ratchet, and bundle verification."""
+
+import itertools
 
 import pytest
 
@@ -6,9 +8,8 @@ from symdimer import matchings
 from symdimer.construct import (
     CATALOG,
     NotInvariantError,
-    UnsupportedGroupError,
+    PlannerStuckError,
     hexagonal_model,
-    select_envelope,
     square_model,
     synthesize,
     transform_model,
@@ -16,9 +17,13 @@ from symdimer.construct import (
 )
 from symdimer.dimer import DimerModel, faces, validate
 from symdimer.lattice import (
+    GROUP_TAGS,
+    DegenerateError,
     Mat2,
     canonical_group,
     convex_hull,
+    is_invariant,
+    orbit,
     polygon_area2,
     same_up_to_translation,
 )
@@ -50,34 +55,6 @@ def test_catalog_models_are_consistent_with_expected_face_counts():
         assert polygon_area2(poly_of(model)) == expected_faces[name], name
 
 
-def test_select_envelope_threefold_triangle_is_tight():
-    tri = [(1, -1), (1, 2), (-2, -1)]
-    plan = select_envelope(tri, "C3")
-    assert plan.envelope == convex_hull(tri)
-    assert plan.catalog == "hexagonal"
-    assert plan.basis == mat(3, 0, 0, 3)
-    assert plan.pre_cuts == ()
-
-
-def test_select_envelope_mirror_uses_centred_diamond():
-    rect = [(0, -1), (2, -1), (2, 1), (0, 1)]
-    plan = select_envelope(rect, "R1")
-    assert plan.catalog == "octagon"
-    assert plan.envelope == convex_hull([(3, 0), (1, 2), (-1, 0), (1, -2)])
-    assert plan.basis == mat(2, 0, 0, 2)
-    assert plan.pre_cuts == ()
-
-
-def test_select_envelope_rejects_unknown_tag():
-    with pytest.raises(UnsupportedGroupError):
-        select_envelope([(0, 0), (1, 0), (0, 1)], "C5")
-
-
-def test_select_envelope_rejects_non_invariant_polygon():
-    with pytest.raises(NotInvariantError):
-        select_envelope([(0, 0), (1, 0), (0, 1)], "C4")
-
-
 def test_synthesize_central_square():
     sq = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
     sd = synthesize(sq, list(canonical_group("C2")))
@@ -93,7 +70,7 @@ def test_synthesize_threefold_triangle_needs_no_cuts():
     tri = [(1, -1), (1, 2), (-2, -1)]
     sd = synthesize(tri, list(canonical_group("C3")))
     assert len(faces(sd.model)) == 9
-    assert all(s["step"] not in ("cut", "chop") for s in sd.trace)
+    assert [s["step"] for s in sd.trace] == ["classify", "direct", "done"]
     assert verify_bundle(sd.model, action=sd.action, polygon=tri).ok
 
 
@@ -105,12 +82,20 @@ def test_synthesize_full_hexagon_symmetry():
     assert verify_bundle(sd.model, action=sd.action, polygon=hexagon).ok
 
 
-def test_synthesize_chops_fourfold_square():
-    sq = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-    sd = synthesize(sq, list(canonical_group("C4")))
-    assert any(s["step"] == "chop" for s in sd.trace)
-    assert len(faces(sd.model)) == 8
-    assert verify_bundle(sd.model, action=sd.action, polygon=sq).ok
+@pytest.mark.parametrize(
+    "tag,polygon,corners",
+    [
+        ("R1", [(-1, -1), (0, -1), (0, 1), (-1, 1)], [[2, 0], [0, -2]]),
+        ("R2", [(-1, 0), (0, -1), (1, -1), (-1, 1)], [[0, 0]]),
+    ],
+)
+def test_synthesize_chops_a_direct_envelope(tag, polygon, corners):
+    sd = synthesize(polygon, list(canonical_group(tag)))
+    steps = [s["step"] for s in sd.trace]
+    assert steps == ["classify", "direct"] + ["chop"] * len(corners) + ["done"]
+    assert [s["corner"] for s in sd.trace if s["step"] == "chop"] == corners
+    assert len(faces(sd.model)) == polygon_area2(convex_hull(polygon))
+    assert verify_bundle(sd.model, action=sd.action, polygon=polygon).ok
 
 
 def test_synthesize_mirror_hexagon_by_chops():
@@ -121,10 +106,11 @@ def test_synthesize_mirror_hexagon_by_chops():
     assert verify_bundle(sd.model, action=sd.action, polygon=hexagon).ok
 
 
-def test_synthesize_dihedral_square_uses_triangle_cut():
+@pytest.mark.parametrize("tag", ["C4", "D8"])
+def test_synthesize_fourfold_square_is_direct(tag):
     sq = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-    sd = synthesize(sq, list(canonical_group("D8")))
-    assert any(s["step"] == "cut" for s in sd.trace)
+    sd = synthesize(sq, list(canonical_group(tag)))
+    assert [s["step"] for s in sd.trace] == ["classify", "direct", "done"]
     assert len(faces(sd.model)) == 8
     assert verify_bundle(sd.model, action=sd.action, polygon=sq).ok
 
@@ -134,7 +120,7 @@ def test_synthesize_rejects_non_invariant_polygon():
         synthesize([(0, 0), (1, 0), (0, 1)], list(canonical_group("C4")))
 
 
-def test_synthesize_transports_conjugated_generators():
+def test_synthesize_conjugated_generators_directly():
     p = mat(1, 1, 0, 1)
     p_inv = mat(1, -1, 0, 1)
     rot = mat(0, -1, 1, 0)
@@ -143,13 +129,19 @@ def test_synthesize_transports_conjugated_generators():
     target = convex_hull([p.apply(v) for v in diamond])
     sd = synthesize(target, [gen])
     assert sd.classification.tag == "C4"
-    assert any(s["step"] == "transport" for s in sd.trace)
+    assert [s["step"] for s in sd.trace] == ["classify", "direct", "done"]
     assert sd.polygon == target
+    # the direct step names the cover and the marking that give the model
+    step = sd.trace[1]
+    raw = cover(CATALOG[step["catalog"]](), Mat2.from_rows(step["basis"]))
+    marking = Mat2.from_rows(step["marking"])
+    assert transform_model(raw, marking.contragredient()) == sd.model
+    assert step["polygon"] == [list(v) for v in target]
     rep = verify_bundle(sd.model, action=sd.action, polygon=target)
     assert rep.ok
 
 
-def test_synthesize_transports_orientation_reversing_conjugates():
+def test_synthesize_orientation_reversing_conjugates_directly():
     p = mat(-1, -2, 0, 1)
     rot = mat(0, -1, 1, -1)
     gen = p.mul(rot).mul(p)
@@ -158,7 +150,7 @@ def test_synthesize_transports_orientation_reversing_conjugates():
     sd = synthesize(target, [gen])
     assert sd.classification.tag == "C3"
     assert sd.classification.conjugator.det() == -1
-    assert any(s["step"] == "transport" for s in sd.trace)
+    assert [s["step"] for s in sd.trace] == ["classify", "direct", "done"]
     assert sd.polygon == target
     rep = verify_bundle(sd.model, action=sd.action, polygon=target)
     assert rep.ok
@@ -277,3 +269,100 @@ def test_origin_matching_is_invariant():
     assert is_perfect_matching(sd.model, matching)
     for h in sd.action.elements:
         assert apply_to_matching(sd.action, h, matching) == tuple(sorted(matching))
+
+
+# ---------------------------------------------------------------------------
+# Ratchet over three case sets of invariant polygons
+
+
+def _hull_or_none(points):
+    try:
+        return convex_hull(points)
+    except DegenerateError:
+        return None
+
+
+def _case_set(name):
+    """(tag, polygon) cases, each polygon once per group.
+
+    radius-1: hulls of the orbits of one or two points of [-1,1]^2;
+    radius-2: hulls of the orbit of one point of [-2,2]^2 with a
+    coordinate of +-2; hulls: every invariant hull of points of [-1,1]^2,
+    that is of unions of orbits."""
+    grid = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    out = []
+    for tag in GROUP_TAGS:
+        group = canonical_group(tag)
+        if name == "radius-1":
+            seeds = [[p] for p in grid] + [list(c) for c in itertools.combinations(grid, 2)]
+        elif name == "radius-2":
+            seeds = [
+                [(x, y)]
+                for x in range(-2, 3)
+                for y in range(-2, 3)
+                if 2 in (abs(x), abs(y))
+            ]
+        else:
+            orbits = sorted({orbit(group, p) for p in grid})
+            seeds = [
+                [p for o in sub for p in o]
+                for r in range(1, len(orbits) + 1)
+                for sub in itertools.combinations(orbits, r)
+            ]
+        seen = set()
+        for seed in seeds:
+            poly = _hull_or_none(p for q in seed for p in orbit(group, q))
+            if poly is not None and poly not in seen:
+                seen.add(poly)
+                out.append((tag, poly))
+    return out
+
+
+CASE_SETS = {name: _case_set(name) for name in ("radius-1", "radius-2", "hulls")}
+
+# May only shrink.  Both are planner gaps: the one envelope above each
+# that a catalog cover realizes (a triangle, an index-48 honeycomb
+# cover) does not chop down to it, and nothing lies above that triangle.
+EXPECTED_STUCK = {
+    # D6_2 hexagon with sides of lattice length 2, 1, 2, 1, 2, 1
+    ("D6_2", ((-3, -1), (-1, -3), (1, -2), (3, 2), (2, 3), (-2, 1))),
+    # its mirror image
+    ("D6_2", ((-3, -2), (-2, -3), (2, -1), (3, 1), (1, 3), (-1, 2))),
+}
+
+
+def test_case_sets_have_the_expected_sizes():
+    assert {k: len(v) for k, v in CASE_SETS.items()} == {
+        "radius-1": 54,
+        "radius-2": 45,
+        "hulls": 238,
+    }
+    cases = {c for v in CASE_SETS.values() for c in v}
+    assert EXPECTED_STUCK <= cases
+    assert all(is_invariant(p, canonical_group(t)) for t, p in cases)
+
+
+@pytest.mark.parametrize(
+    "tag,polygon",
+    [
+        pytest.param(
+            tag,
+            poly,
+            id=f"{name}-{tag}-" + "_".join(f"{x},{y}" for x, y in poly),
+            marks=[pytest.mark.slow] if name == "radius-2" else [],
+        )
+        for name, cases in CASE_SETS.items()
+        for tag, poly in cases
+    ],
+)
+def test_synthesis_ratchet(tag, polygon):
+    if (tag, polygon) in EXPECTED_STUCK:
+        with pytest.raises(PlannerStuckError):
+            synthesize(polygon, list(canonical_group(tag)))
+        return
+    sd = synthesize(polygon, list(canonical_group(tag)))
+    rep = verify_bundle(sd.model, action=sd.action, polygon=polygon)
+    assert rep.ok
+    assert rep.polygon_match
+    assert rep.fixed_face is not None
+    assert rep.char_matches_zigzag is True

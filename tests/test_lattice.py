@@ -7,6 +7,7 @@ Oracles used here:
  - conjugator verification by direct matrix multiplication.
 """
 
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,31 @@ def test_classify_random_conjugates():
         q, qi = cls.conjugator, cls.conjugator.inverse()
         assert frozenset(qi.mul(g).mul(q) for g in group) == frozenset(
             L.canonical_group(tag)
+        )
+
+
+def test_reduced_search_classifies_every_conjugate():
+    """Every canonical group conjugated by each unimodular P with entries
+    in [-4, 4], and every finite group generated by matrices with entries
+    in [-1, 1] (what Gauss reduction leaves), classifies with a verified
+    conjugator."""
+    groups = [
+        (tag, [p.mul(g).mul(p.inverse()) for g in L.canonical_group(tag)])
+        for tag in L.GROUP_TAGS
+        for p in L._small_unimodular(4)
+    ]
+    unit = list(L._small_unimodular(1))
+    for a, b in itertools.combinations_with_replacement(unit, 2):
+        try:
+            groups.append((None, L.generate_group([a, b])))
+        except L.NotFiniteError:
+            pass
+    for tag, group in groups:
+        cls = L.classify_group(group)
+        assert tag in (None, cls.tag)
+        q, qi = cls.conjugator, cls.conjugator.inverse()
+        assert frozenset(qi.mul(g).mul(q) for g in group) == frozenset(
+            L.canonical_group(cls.tag)
         )
 
 

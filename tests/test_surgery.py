@@ -1,4 +1,4 @@
-"""Covers, edge deletion, and the two verified cutting operations."""
+"""Covers, edge deletion, re-embedding, and verified corner chops."""
 
 import itertools
 from fractions import Fraction
@@ -26,13 +26,14 @@ from symdimer.lattice import (
     normalize_translation,
     exact_invariant_frame,
 )
-from symdimer.matchings import characteristic_polygon, enumerate_matchings
+from symdimer.matchings import enumerate_matchings
 import symdimer.surgery as surgery
 from symdimer.surgery import (
+    Budget,
+    BudgetSpentError,
     EmbeddingFailedError,
     IsolatedNodeError,
     SearchExhaustedError,
-    SelectionFailedError,
     SingularBasisError,
     SurgeryError,
     UnivalentAfterDeletionError,
@@ -40,9 +41,7 @@ from symdimer.surgery import (
     cover,
     corner_chop,
     delete_edges,
-    gulotta_cut,
     reembed,
-    triangle_cut_target,
 )
 from symdimer.zigzag import check_consistency, zigzag_paths, zigzag_polygon
 from symdimer.construct import (
@@ -303,106 +302,6 @@ def test_reembed_rejects_coincident_harmonic_positions():
 
 
 # ---------------------------------------------------------------------------
-# Triangle cut targets
-
-
-def test_triangle_target_rectangle_long_cut():
-    rect = ((0, 0), (2, 0), (2, 1), (0, 1))
-    assert triangle_cut_target(rect, (2, 1), 2, 1) == ((0, 0), (2, 0), (0, 1))
-
-
-def test_triangle_target_rectangle_unit_cut():
-    rect = ((0, 0), (2, 0), (2, 1), (0, 1))
-    assert triangle_cut_target(rect, (2, 1), 1, 1) == (
-        (0, 0),
-        (2, 0),
-        (1, 1),
-        (0, 1),
-    )
-
-
-def test_triangle_target_leg_overshoot_rejected():
-    rect = ((0, 0), (2, 0), (2, 1), (0, 1))
-    with pytest.raises(ValueError):
-        triangle_cut_target(rect, (2, 1), 3, 1)
-    with pytest.raises(ValueError):
-        triangle_cut_target(rect, (2, 1), 1, 2)
-
-
-def test_triangle_target_whole_polygon_guard():
-    tri = ((0, 0), (1, 0), (1, 1))
-    with pytest.raises(WholePolygonError):
-        triangle_cut_target(tri, (0, 0), 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Gulotta cuts
-
-
-def rectangle_two_by_one():
-    return cover(square_model(), mat(2, 0, 0, 1))
-
-
-def hexagonal_two_by_two():
-    return cover(hexagonal_model(), mat(2, 0, 0, 2))
-
-
-def test_gulotta_cut_rectangle_long_legs():
-    m = rectangle_two_by_one()
-    cut = gulotta_cut(m, (2, 1), k=2, m=1)
-    assert validate(cut).ok
-    assert check_consistency(cut).consistent
-    assert poly_of(cut) == ((0, 0), (2, 0), (0, 1))
-
-
-def test_gulotta_cut_rectangle_unit_legs():
-    m = rectangle_two_by_one()
-    cut = gulotta_cut(m, (2, 1), k=1, m=1)
-    assert validate(cut).ok
-    assert check_consistency(cut).consistent
-    assert poly_of(cut) == ((0, 0), (2, 0), (1, 1), (0, 1))
-
-
-def test_gulotta_cut_hexagonal_cover_unit_legs():
-    m = hexagonal_two_by_two()
-    assert poly_of(m) == ((0, 0), (2, 0), (2, 2))
-    cut = gulotta_cut(m, (2, 2), k=1, m=1)
-    assert validate(cut).ok
-    assert check_consistency(cut).consistent
-    assert poly_of(cut) == ((0, 0), (2, 0), (2, 1), (1, 1))
-
-
-def test_gulotta_cut_hexagonal_cover_long_legs():
-    m = hexagonal_two_by_two()
-    cut = gulotta_cut(m, (0, 0), k=2, m=1)
-    assert validate(cut).ok
-    assert check_consistency(cut).consistent
-    assert normalize_translation(characteristic_polygon(cut)) == poly_of(cut)
-
-
-def test_gulotta_cut_whole_polygon_guard():
-    with pytest.raises(WholePolygonError):
-        gulotta_cut(hexagonal_model(), (0, 0), k=1, m=1)
-
-
-def test_gulotta_cut_expected_mismatch_rejected():
-    m = rectangle_two_by_one()
-    with pytest.raises(ValueError):
-        gulotta_cut(m, (2, 1), k=2, m=1, expected=((0, 0), (9, 0), (0, 9)))
-
-
-def test_gulotta_cut_expected_match_accepted():
-    m = rectangle_two_by_one()
-    cut = gulotta_cut(m, (2, 1), k=2, m=1, expected=((0, 0), (2, 0), (0, 1)))
-    assert poly_of(cut) == ((0, 0), (2, 0), (0, 1))
-
-
-def test_gulotta_cut_bad_corner_rejected():
-    with pytest.raises(ValueError):
-        gulotta_cut(rectangle_two_by_one(), (5, 5), k=1, m=1)
-
-
-# ---------------------------------------------------------------------------
 # Symmetric corner chops
 
 
@@ -414,7 +313,7 @@ def test_corner_chop_square_c2_gives_hexagon():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = corner_chop(m, action, (1, 1))
+    chopped = corner_chop(m, [action], (1, 1))
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -430,7 +329,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
     m = cover(octagon_model(), mat(2, 0, 0, 2))
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
-    chopped = corner_chop(m, action, (2, 0))
+    chopped = corner_chop(m, [action], (2, 0))
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -443,7 +342,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
 def test_corner_chop_trivial_group_matches_plain_cut():
     m = octagon_model()
     action = identity_action(m)
-    chopped = corner_chop(m, action, (2, 0))
+    chopped = corner_chop(m, [action], (2, 0))
     assert poly_of(chopped) == ((0, 0), (1, -1), (1, 1))
 
 
@@ -452,7 +351,7 @@ def test_corner_chop_inadmissible_corner_rejected():
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
     with pytest.raises(ValueError):
-        corner_chop(m, action, (1, 0))
+        corner_chop(m, [action], (1, 0))
 
 
 def test_corner_chop_whole_polygon_guard():
@@ -460,21 +359,21 @@ def test_corner_chop_whole_polygon_guard():
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
     with pytest.raises(WholePolygonError):
-        corner_chop(m, action, (1, 0))
+        corner_chop(m, [action], (1, 0))
 
 
 def test_corner_chop_unreachable_target_exhausts():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     with pytest.raises(SearchExhaustedError):
-        corner_chop(m, action, (1, 1), target=((0, 0), (5, 0), (0, 5)))
+        corner_chop(m, [action], (1, 1), target=((0, 0), (5, 0), (0, 5)))
 
 
 def test_corner_chop_dodecagon_c2_gives_diamond():
     m = dodecagon_model()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = corner_chop(m, action, (1, 1))
+    chopped = corner_chop(m, [action], (1, 1))
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -503,19 +402,10 @@ def reembed_calls(monkeypatch):
 def test_repeated_chop_is_decided_once(reembed_calls):
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
-    first = corner_chop(m, action, (1, 1))
+    first = corner_chop(m, [action], (1, 1))
     assert reembed_calls
     seen = len(reembed_calls)
-    assert corner_chop(m, action, (1, 1)) is first
-    assert len(reembed_calls) == seen
-
-
-def test_repeated_gulotta_cut_is_decided_once(reembed_calls):
-    m = rectangle_two_by_one()
-    first = gulotta_cut(m, (2, 1), k=1, m=1)
-    seen = len(reembed_calls)
-    assert seen
-    assert gulotta_cut(m, (2, 1), k=1, m=1) is first
+    assert corner_chop(m, [action], (1, 1)) is first
     assert len(reembed_calls) == seen
 
 
@@ -524,16 +414,52 @@ def test_repeated_failing_chop_is_decided_once(reembed_calls):
     action = find_symmetry(m, canonical_group("C2"))
     target = ((0, 0), (5, 0), (0, 5))
     with pytest.raises(SearchExhaustedError) as first:
-        corner_chop(m, action, (1, 1), target=target)
+        corner_chop(m, [action], (1, 1), target=target)
     seen = len(reembed_calls)
     with pytest.raises(SearchExhaustedError) as again:
-        corner_chop(m, action, (1, 1), target=target)
+        corner_chop(m, [action], (1, 1), target=target)
     assert str(again.value) == str(first.value)
     assert len(reembed_calls) == seen
     # the same deleted edges toward another target are a new candidate
     cold = centered_square_cover()
-    want = corner_chop(cold, find_symmetry(cold, canonical_group("C2")), (1, 1))
-    assert corner_chop(m, action, (1, 1)) == want
+    want = corner_chop(cold, [find_symmetry(cold, canonical_group("C2"))], (1, 1))
+    assert corner_chop(m, [action], (1, 1)) == want
+
+
+def test_budget_counts_each_candidate_decided_once(reembed_calls):
+    m = centered_square_cover()
+    actions = list(symmetry_actions(m, canonical_group("C2")))
+    with pytest.raises(BudgetSpentError, match="0 of 0"):
+        corner_chop(m, actions, (1, 1), budget=Budget(0))
+    budget = Budget(10)
+    first = corner_chop(m, actions, (1, 1), budget=budget)
+    assert budget.spent == len(reembed_calls) > 0
+    # kept verdicts are free: the same chop again costs nothing
+    assert corner_chop(m, actions, (1, 1), budget=budget) is first
+    assert budget.spent == len(reembed_calls)
+
+
+def test_chop_without_actions_exhausts():
+    with pytest.raises(SearchExhaustedError, match="no action"):
+        corner_chop(centered_square_cover(), [], (1, 1))
+
+
+def test_chop_skips_actions_with_repeated_edge_orbits():
+    """Every action of D4_2 on a 2x2 square cover, against the distinct
+    edge-orbit partitions alone: the same candidates in the same order,
+    so the same failure."""
+    m = centered_square_cover()
+    actions = list(symmetry_actions(m, canonical_group("D4_2")))
+    distinct = {}
+    for act in actions:
+        distinct.setdefault(frozenset(surgery._edge_orbits(act).values()), act)
+    assert len(distinct) < len(actions)
+    target = ((0, 0), (9, 0), (0, 9))
+    with pytest.raises(SearchExhaustedError) as every:
+        corner_chop(m, actions, (1, 1), target=target)
+    with pytest.raises(SearchExhaustedError) as once:
+        corner_chop(m, list(distinct.values()), (1, 1), target=target)
+    assert str(every.value) == str(once.value)
 
 
 def test_accept_runs_on_every_repeated_cut():
@@ -545,24 +471,24 @@ def test_accept_runs_on_every_repeated_cut():
         seen.append(cut)
         return True
 
-    first = corner_chop(m, action, (1, 1), accept=accept)
-    assert corner_chop(m, action, (1, 1), accept=accept) is first
+    first = corner_chop(m, [action], (1, 1), accept=accept)
+    assert corner_chop(m, [action], (1, 1), accept=accept) is first
     assert seen == [first, first]
     # a rejecting predicate is asked again on the same cached cuts
     rejected = []
     for _ in range(2):
         with pytest.raises(SearchExhaustedError):
-            corner_chop(m, action, (1, 1), accept=lambda cut: rejected.append(cut))
+            corner_chop(m, [action], (1, 1), accept=lambda cut: rejected.append(cut))
     half = len(rejected) // 2
     assert rejected[0] is first
     assert all(a is b for a, b in zip(rejected[:half], rejected[half:]))
     assert len(rejected) == 2 * half
-    assert corner_chop(m, action, (1, 1)) is first
+    assert corner_chop(m, [action], (1, 1)) is first
 
 
 def _chop_outcome(model, action, corner):
     try:
-        cut = corner_chop(model, action, corner)
+        cut = corner_chop(model, [action], corner)
     except SurgeryError as exc:
         return type(exc), str(exc)
     return cut.nodes, cut.edges
