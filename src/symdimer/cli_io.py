@@ -13,7 +13,8 @@ synthesize --trace writes {"trace": [step, ...]}, each step one of:
   classify  the group's tag and order;
   direct    the catalog model, the sublattice basis and the marking M
             whose cover realizes the envelope polygon listed;
-  chop      one corner orbit chopped, and the polygon left;
+  chop      one symmetric cut: the corner, the legs (1 for a corner orbit
+            chopped) and the polygon left;
   done      the final polygon.
 
 Exit codes: 0 success, 1 malformed input, 2 group not finite, 3 polygon

@@ -8,12 +8,13 @@ synthesize plans in the caller's coordinates with the caller's group G.
 A polygon is realized directly when it is the polygon of a catalog
 model's sublattice cover under a marking change (a unimodular change of
 torus coordinates) on which G acts fixing a face.  Otherwise the planner
-searches breadth first for an envelope a few symmetric corner chops
-above the target that is realized directly, and chops it down, under one
-work budget.  The chops are the symmetric form of the corner cuts of
-Gulotta, Properly ordered dimers, R-charges, and an efficient inverse
-algorithm (arXiv:0807.3012).  verify_bundle re-checks a model from
-scratch.
+searches breadth first for an envelope a few symmetric cuts above the
+target that is realized directly, and cuts it down, under one work
+budget.  A cut takes the orbit of one corner off, or, at a corner that
+a reflection of the group fixes, a triangle with longer legs; these are
+the symmetric form of the corner cuts of Gulotta, Properly ordered
+dimers, R-charges, and an efficient inverse algorithm (arXiv:0807.3012).
+verify_bundle re-checks a model from scratch.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .dimer import (
     find_symmetry,
     fixed_face,
     frac_pt,
-    symmetry_actions,
     validate,
 )
 from .lattice import (
@@ -58,7 +58,7 @@ from .lattice import (
     same_up_to_translation,
 )
 from .matchings import characteristic_polygon
-from .surgery import Budget, BudgetSpentError, SurgeryError, corner_chop, cover
+from .surgery import Budget, BudgetSpentError, corner_cuts, cover
 from .zigzag import (
     NonPrimitiveSlopeError,
     NotClosedError,
@@ -257,9 +257,10 @@ def transform_model(model: DimerModel, linear: Mat2) -> DimerModel:
 # ---------------------------------------------------------------------------
 # Planning
 
-# Work budget of one synthesize call, in candidate cuts decided (runs of
-# surgery._cut, each of which re-embeds a model).
-BUDGET = 150
+# Work budget of one synthesize call, in the edge units of surgery.Budget:
+# about 13 s of CPU on a 2-vCPU VM.  The costliest polygon known to build,
+# the D6_2 hexagon (-4,-3),(-3,-4),(3,-1),(4,1),(1,4),(-1,3), takes 65 686.
+BUDGET = 75_000
 
 
 def _edge_vectors(poly: Sequence[Vec]) -> List[Vec]:
@@ -301,11 +302,12 @@ def _markings(src: Sequence[Vec], dst: Sequence[Vec]) -> List[Mat2]:
 
 
 def _direct(
-    envelope: Tuple[Vec, ...], group: Sequence[Mat2]
+    envelope: Tuple[Vec, ...], group: Sequence[Mat2], budget: Budget
 ) -> Optional[Tuple[DimerModel, dict]]:
     """The first catalog cover, under a marking change, whose polygon in
     the exact invariant frame is the envelope and on which the group acts
-    fixing a face; with its trace step, or None.
+    fixing a face; with its trace step, or None.  Each cover and marking
+    checked is charged to the budget.
 
     Catalogs go in CATALOG order, sublattices by their Hermite normal form
     basis S = [[a, b], [0, d]] (0 <= b < a, a*d the index) in sorted
@@ -328,6 +330,7 @@ def _direct(
                     continue
                 raw = cover(make(), s)
                 for m in marks:
+                    budget.charge(len(raw.edges))
                     model = transform_model(raw, m.contragredient())
                     if exact_invariant_frame(_poly_of(model), group) != envelope:
                         continue
@@ -373,28 +376,80 @@ def _outer_lattice_points(poly: Sequence[Vec]) -> List[Vec]:
     return out
 
 
+def _mirror_apexes(
+    poly: Tuple[Vec, ...], group: Sequence[Mat2]
+) -> List[Tuple[Vec, int]]:
+    """For each side whose ends some group element swaps, the lattice
+    point where the two neighbouring sides, extended, meet beyond it,
+    with the lattice length t of the legs from there to the side's ends:
+    the apex of a triangle with legs t whose cut leaves the side.  Such
+    a side cannot be made by cutting single corners, since the corners
+    a one-leg cut leaves there are swapped and joined by a primitive
+    segment, which no admissible chop can cut again.
+
+    Only apexes whose leg directions span the lattice are kept.  At any
+    other corner each pair of paths crosses several times; on the
+    radius-3 hexagons no such cut verified, and each cost hundreds of
+    candidates."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        if not any(h.apply(a) == b and h.apply(b) == a for h in group):
+            continue
+        prev, nxt = poly[i - 1], poly[(i + 2) % n]
+        u = primitive((a[0] - prev[0], a[1] - prev[1]))
+        v = primitive((b[0] - nxt[0], b[1] - nxt[1]))
+        # a + t*u == b + t*v
+        den = u[0] * v[1] - u[1] * v[0]
+        num = (b[0] - a[0]) * v[1] - (b[1] - a[1]) * v[0]
+        if abs(den) == 1 and num * den > 0:
+            t = num * den
+            out.append(((a[0] + t * u[0], a[1] + t * u[1]), t))
+    return out
+
+
 def _envelopes_above(
     poly: Tuple[Vec, ...], group: Sequence[Mat2]
-) -> Dict[Tuple[Vec, ...], Vec]:
-    """The invariant polygons E one corner chop above the exactly
-    invariant polygon: E = hull(poly and the orbit of a lattice point p)
-    has no lattice points but those two, p is an admissible corner of E,
-    and chopping p's orbit off E leaves poly.  Maps each E, moved to its
-    exact invariant frame, to the corner to chop, moved with it."""
+) -> Dict[Tuple[Vec, ...], Tuple[Vec, int]]:
+    """The invariant polygons E one symmetric cut above the exactly
+    invariant polygon, E = hull(poly and the orbit of a lattice point p)
+    with p a corner of E, admissible for a chop.  Either p is a lattice
+    point outside poly, E has no lattice points but poly's and p's
+    orbit, and chopping that orbit off E (one leg) leaves poly; or p is
+    a mirror apex of poly and E is poly with the orbit of its triangle
+    added, which a cut with legs t takes off again.  Maps each E, moved
+    to its exact invariant frame, to the corner to cut, moved with it,
+    and the legs."""
     inside = set(lattice_points(poly))
-    out: Dict[Tuple[Vec, ...], Vec] = {}
+    area = polygon_area2(poly)
+    grown = []
     for p in _outer_lattice_points(poly):
         orb = orbit(group, p)
         env = convex_hull(poly + orb)
-        if p not in env or set(lattice_points(env)) != inside.union(orb):
-            continue
-        if not corner_chop_admissible(env, group, p):
-            continue
-        if remove_corner_orbit(env, group, p) != poly:
-            continue
+        if (
+            p in env
+            and set(lattice_points(env)) == inside.union(orb)
+            and corner_chop_admissible(env, group, p)
+            and remove_corner_orbit(env, group, p) == poly
+        ):
+            grown.append((env, p, 1))
+    for p, t in _mirror_apexes(poly, group):
+        orb = orbit(group, p)
+        env = convex_hull(poly + orb)
+        # the orbit's triangles lie outside poly and apart exactly when
+        # the areas add up
+        if (
+            p in env
+            and polygon_area2(env) == area + len(orb) * t * t
+            and corner_chop_admissible(env, group, p)
+        ):
+            grown.append((env, p, t))
+    out: Dict[Tuple[Vec, ...], Tuple[Vec, int]] = {}
+    for env, p, t in grown:
         framed = exact_invariant_frame(env, group)
         corner = (p[0] + framed[0][0] - env[0][0], p[1] + framed[0][1] - env[0][1])
-        out[framed] = min(corner, out.get(framed, corner))
+        out[framed] = min((corner, t), out.get(framed, (corner, t)))
     return out
 
 
@@ -408,56 +463,68 @@ def _fixing_action(model: DimerModel, group: Sequence[Mat2]) -> Optional[Symmetr
 def _chop_down(
     model: DimerModel, chops, group: Sequence[Mat2], budget: Budget
 ) -> Optional[Tuple[DimerModel, List[dict]]]:
-    """Follow the recorded chops (corner, polygon left) down from a
-    realized envelope: each tries every action of the group, keeping a
-    fixed face, and must land in the expected exact invariant frame.
-    None when a chop fails."""
-    steps = []
-    for corner, below in chops:
-        try:
-            chopped = corner_chop(
-                model,
-                symmetry_actions(model, group),
-                corner,
-                target=below,
-                accept=lambda m: _fixing_action(m, group) is not None,
-                budget=budget,
-            )
-        except SurgeryError:
-            return None
-        if exact_invariant_frame(_poly_of(chopped), group) != below:
-            return None
-        model = chopped
-        steps.append(
-            {"step": "chop", "corner": list(corner), "polygon": [list(v) for v in below]}
-        )
-    return model, steps
+    """Follow the recorded cuts (corner, legs, polygon left) down from a
+    realized envelope, depth first over the outcomes of each cut: every
+    outcome keeps a face fixed under the group and must land in the
+    expected exact invariant frame.  None when no sequence of outcomes
+    reaches the end."""
+    if not chops:
+        return model, []
+    (corner, legs, below), rest = chops[0], chops[1:]
+    step = {
+        "step": "chop",
+        "corner": list(corner),
+        "legs": legs,
+        "polygon": [list(v) for v in below],
+    }
+    for cut in corner_cuts(
+        model,
+        group,
+        corner,
+        legs,
+        target=below,
+        accept=lambda m: _fixing_action(m, group) is not None,
+        budget=budget,
+    ):
+        if exact_invariant_frame(_poly_of(cut), group) != below:
+            continue
+        done = _chop_down(cut, rest, group, budget)
+        if done is not None:
+            return done[0], [step] + done[1]
+    return None
 
 
 def _plan(
     target: Tuple[Vec, ...], group: Sequence[Mat2], budget: Budget
 ) -> Optional[Tuple[DimerModel, List[dict]]]:
     """Breadth-first search over envelopes of the target, by number of
-    chops, then by area and polygon: the first envelope that is realized
-    directly and chops down to the target wins.  None when no envelope
-    is left to try; BudgetSpentError when the budget runs out first."""
-    level = [(target, ())]
-    seen = {target}
+    cuts, then by area and polygon, along every path of cuts that
+    reaches each envelope: the first envelope that is realized directly
+    and cuts down to the target along one of its paths wins.  Each
+    envelope is realized at most once, and each envelope and path
+    visited is charged to the budget.  None when no envelope is left to
+    try; BudgetSpentError when the budget runs out first."""
+    direct: Dict[Tuple[Vec, ...], Optional[Tuple[DimerModel, dict]]] = {}
+    level = {target: [()]}
     while level:
-        for env, chops in level:
-            found = _direct(env, group)
-            if found is None:
-                continue
-            done = _chop_down(found[0], chops, group, budget)
-            if done is not None:
-                return done[0], [found[1]] + done[1]
-        grown = {}
-        for env, chops in level:
-            for up, corner in _envelopes_above(env, group).items():
-                if up not in seen:
-                    seen.add(up)
-                    grown[up] = ((corner, env),) + chops
-        level = sorted(grown.items(), key=lambda s: (polygon_area2(s[0]), s[0]))
+        order = sorted(level, key=lambda e: (polygon_area2(e), e))
+        for env in order:
+            budget.charge()
+            if env not in direct:
+                direct[env] = _direct(env, group, budget)
+            found = direct[env]
+            for chops in level[env] if found is not None else ():
+                budget.charge()
+                done = _chop_down(found[0], chops, group, budget)
+                if done is not None:
+                    return done[0], [found[1]] + done[1]
+        grown: Dict[Tuple[Vec, ...], list] = {}
+        for env in order:
+            for up, (corner, legs) in _envelopes_above(env, group).items():
+                grown.setdefault(up, []).extend(
+                    ((corner, legs, env),) + chops for chops in level[env]
+                )
+        level = grown
     return None
 
 
@@ -491,12 +558,14 @@ def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricD
 
     Everything happens in the caller's coordinates with G itself.  The
     polygon P is moved to its exact invariant frame.  A breadth-first
-    search then looks for an envelope E, k corner chops above P, that is
-    a catalog cover under a marking change with a face-fixing action of
-    G (k = 0 first: P itself), and chops E down to P along the recorded
-    corners, each chop keeping a face fixed.  All chops share one work
-    budget of BUDGET candidate cuts.  The trace lists the steps:
-    classify, direct, one chop per corner orbit, done.  Raises
+    search then looks for an envelope E, k symmetric cuts above P, that
+    is a catalog cover under a marking change with a face-fixing action
+    of G (k = 0 first: P itself), and cuts E down to P along a recorded
+    path, depth first over the outcomes of each cut, each keeping a face
+    fixed.  A cut takes a corner orbit off (one leg) or a triangle with
+    longer legs at a corner that a reflection fixes.  All planning
+    shares one work budget of BUDGET edge units.  The trace lists the
+    steps: classify, direct, one chop per cut, done.  Raises
     NotInvariantError when P is not G-invariant and PlannerStuckError
     (carrying the trace so far) when the budget runs out or no envelope
     is left."""
@@ -517,7 +586,7 @@ def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricD
     if found is None:
         raise PlannerStuckError(
             f"no envelope of the polygon chops down to it "
-            f"({budget.spent} of {budget.limit} candidate cuts decided)",
+            f"({budget.spent} of {budget.limit} edge units spent)",
             trace,
         )
     model, steps = found

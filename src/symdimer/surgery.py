@@ -1,7 +1,8 @@
 """Covers, edge deletion, re-embedding, and symmetric corner chops.
 
-A corner chop deletes the edges where a pair of zigzag paths of the
-corner's two sides cross, together with their whole group orbit,
+A corner chop deletes the edges where zigzag paths of the corner's two
+sides cross (one path of each side, or as many of each as the cut's
+legs are long), together with their whole edge orbit under the group,
 collapses the divalent nodes this leaves behind, and computes a fresh
 harmonic embedding.  Every candidate outcome is verified from scratch
 (geometry, consistency, zigzag polygon) before it is accepted, once per
@@ -13,7 +14,17 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .dimer import (
     DimerModel,
@@ -23,6 +34,7 @@ from .dimer import (
     SymmetryAction,
     frac_pt,
     remove_divalent,
+    symmetry_actions,
     validate,
 )
 from .lattice import (
@@ -32,6 +44,7 @@ from .lattice import (
     corner_chop_admissible,
     exact_invariant_frame,
     normalize_translation,
+    orbit,
     polygon_area2,
     primitive,
     remove_corner_orbit,
@@ -345,21 +358,22 @@ class BudgetSpentError(Exception):
 
 
 class Budget:
-    """A work allowance counted in candidate cuts decided: runs of _cut,
-    each of which re-embeds a model.  Verdicts already kept on a model
+    """A work allowance counted in edge units: a step that handles a
+    model is charged the model's number of edges (a candidate cut
+    decided, the candidate cuts gathered at a corner), a step that
+    handles no model is charged one.  Verdicts already kept on a model
     cost nothing."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.spent = 0
 
-    def charge(self) -> None:
+    def charge(self, cost: int = 1) -> None:
         if self.spent >= self.limit:
             raise BudgetSpentError(
-                f"work budget spent: {self.spent} of {self.limit} candidate "
-                f"cuts decided"
+                f"work budget spent: {self.spent} of {self.limit} edge units"
             )
-        self.spent += 1
+        self.spent += cost
 
 
 def _edge_orbits(action: SymmetryAction) -> Dict[int, FrozenSet[int]]:
@@ -428,7 +442,7 @@ def _try_cut(
     key = (frozenset(doomed), target)
     if key not in model._cuts:
         if budget is not None:
-            budget.charge()
+            budget.charge(len(model.edges))
         model._cuts[key] = _cut(model, doomed, target)
     cut = model._cuts[key]
     if cut is None or (accept is not None and not accept(cut)):
@@ -436,35 +450,52 @@ def _try_cut(
     return cut
 
 
-def corner_chop(
+def _distinct_edge_orbits(
+    model: DimerModel, group: Sequence[Mat2]
+) -> Iterator[Dict[int, FrozenSet[int]]]:
+    """The edge orbits of each action of the group on the model, in
+    symmetry_actions order, skipping an action whose orbit partition
+    repeats an earlier one's: it would give the same deleted edge sets."""
+    seen = set()
+    for action in symmetry_actions(model, group):
+        orbits = _edge_orbits(action)
+        partition = frozenset(orbits.values())
+        if partition not in seen:
+            seen.add(partition)
+            yield orbits
+
+
+def corner_cuts(
     model: DimerModel,
-    actions: Iterable[SymmetryAction],
+    group: Sequence[Mat2],
     corner: Vec,
+    legs: int = 1,
     target: Optional[Sequence[Vec]] = None,
     accept=None,
     budget: Optional[Budget] = None,
-) -> DimerModel:
-    """Remove the orbit of one polygon corner symmetrically, under the
-    first of the actions (all of one group) that realizes the chop.
+) -> Iterator[DimerModel]:
+    """Each way to cut the triangle with two legs of the given lattice
+    length off one polygon corner, and off its whole orbit, symmetrically
+    under an action of the group (a list of all its elements).
 
     The corner is named in the exactly invariant frame of the zigzag
     polygon (the translate fixed setwise by every group element).  The
     chop must be admissible: no other corner in the orbit is joined to
-    this one by a primitive boundary segment.  By default the target is
-    the hull of the remaining lattice points.  Under each action in turn,
-    every crossing pair of zigzag paths of the corner's two sides is
-    resolved together with its whole edge orbit, and the outcome
-    verified.  An action whose edge orbits repeat an earlier one's is
-    skipped: it would decide the same candidates in the same order.
-    Each candidate decided is charged to the budget, if one is given.
-    Raises WholePolygonError when nothing remains, SearchExhaustedError
-    when no symmetric resolution verifies, and BudgetSpentError when the
-    budget runs out first."""
-    actions = iter(actions)
-    first = next(actions, None)
-    if first is None:
-        raise SearchExhaustedError("no action of the group on the model")
-    mats = list(first.elements)
+    this one by a primitive boundary segment.  With one leg the target
+    is by default the hull of the remaining lattice points; longer legs
+    need the target spelled out.
+
+    A candidate deletes, for one choice of `legs` zigzag paths of each of
+    the corner's two sides that all cross one another, the crossing
+    edges together with their whole edge orbit under one action.  A
+    consistent model has as many faces as twice its polygon's area, and
+    each deleted edge merges two faces, so only candidates that delete
+    exactly the area difference are tried, in the order of the actions
+    and the path choices.  Each outcome that verifies and is accepted is
+    yielded.  Gathering the candidates, and each candidate decided, is
+    charged to the budget, if one is given.  Raises WholePolygonError
+    when nothing remains and BudgetSpentError when the budget runs out."""
+    mats = list(group)
     paths = zigzag_paths(model)
     poly = zigzag_polygon([p.slope for p in paths])
     frame = exact_invariant_frame(poly, mats)
@@ -477,6 +508,8 @@ def corner_chop(
             f"primitive boundary segment"
         )
     if target is None:
+        if legs != 1:
+            raise ValueError("a cut with legs longer than one needs its target")
         try:
             rest = remove_corner_orbit(frame, mats, corner)
         except DegenerateError:
@@ -487,34 +520,54 @@ def corner_chop(
     # The verifier compares normalized polygons, so the shift between the
     # invariant frame and the model frame drops out.
     want = normalize_translation(convex_hull(target))
+    size = polygon_area2(frame) - polygon_area2(want)
 
     d_in, d_out = _corner_sides(frame, corner)
+    # Paths of the two sides cross as often as the determinant of their
+    # slopes says, and the seed's images at the other corners of the
+    # orbit are apart: when they alone pass the size, nothing fits.
+    det = abs(d_in[0] * d_out[1] - d_in[1] * d_out[0])
+    if len(orbit(mats, corner)) * legs * legs * det > size:
+        return
+    if budget is not None:
+        budget.charge(len(model.edges))
     fam_out = [p for p in paths if p.slope == _side_normal(d_out)]
     fam_in = [p for p in paths if p.slope == _side_normal(d_in)]
-    if not fam_out or not fam_in:
-        raise SearchExhaustedError(
-            f"no zigzag paths with the corner's side slopes "
-            f"{_side_normal(d_out)} and {_side_normal(d_in)}"
-        )
-    seeds = [
-        set(z1.edge_ids()) & set(z2.edge_ids()) for z1 in fam_out for z2 in fam_in
-    ]
-    seeds = [seed for seed in seeds if seed]
-    seen = set()
-    tried = 0
-    for action in itertools.chain((first,), actions):
-        orbits = _edge_orbits(action)
-        partition = frozenset(orbits.values())
-        if partition in seen:
-            continue
-        seen.add(partition)
+    seeds = []
+    for sel_out in itertools.combinations(fam_out, legs):
+        for sel_in in itertools.combinations(fam_in, legs):
+            crossings = [
+                set(z1.edge_ids()) & set(z2.edge_ids())
+                for z1 in sel_out
+                for z2 in sel_in
+            ]
+            if all(crossings):
+                seeds.append(set().union(*crossings))
+    tried = set()
+    for orbits in _distinct_edge_orbits(model, mats):
         for seed in seeds:
-            tried += 1
             doomed = frozenset().union(*(orbits[e] for e in seed))
+            if len(doomed) != size or doomed in tried:
+                continue
+            tried.add(doomed)
             cut = _try_cut(model, doomed, want, accept, budget)
             if cut is not None:
-                return cut
+                yield cut
+
+
+def corner_chop(
+    model: DimerModel,
+    group: Sequence[Mat2],
+    corner: Vec,
+    legs: int = 1,
+    target: Optional[Sequence[Vec]] = None,
+    accept=None,
+    budget: Optional[Budget] = None,
+) -> DimerModel:
+    """The first outcome of corner_cuts.  Raises SearchExhaustedError
+    when there is none."""
+    for cut in corner_cuts(model, group, corner, legs, target, accept, budget):
+        return cut
     raise SearchExhaustedError(
-        f"no symmetric crossing resolution realizes the chop "
-        f"({tried} candidate pairs tried)"
+        f"no symmetric crossing resolution cuts corner {corner} with legs {legs}"
     )

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from symdimer import matchings
+from symdimer import construct, matchings
 from symdimer.construct import (
     CATALOG,
     NotInvariantError,
@@ -96,6 +96,25 @@ def test_synthesize_chops_a_direct_envelope(tag, polygon, corners):
     assert [s["corner"] for s in sd.trace if s["step"] == "chop"] == corners
     assert len(faces(sd.model)) == polygon_area2(convex_hull(polygon))
     assert verify_bundle(sd.model, action=sd.action, polygon=polygon).ok
+
+
+def test_synthesize_cuts_long_legs_at_a_mirror_corner():
+    """The D6_2 hexagon with sides 2 and 1: the envelope is a triangle,
+    and the cut at its corners, which a reflection fixes, has legs 2."""
+    hexagon = [(-3, -1), (-1, -3), (1, -2), (3, 2), (2, 3), (-2, 1)]
+    sd = synthesize(hexagon, list(canonical_group("D6_2")))
+    chops = [s for s in sd.trace if s["step"] == "chop"]
+    assert [s["legs"] for s in chops] == [2, 1]
+    rep = verify_bundle(sd.model, action=sd.action, polygon=hexagon)
+    assert rep.ok and rep.polygon_match and rep.fixed_face is not None
+
+
+def test_planner_budget_bounds_the_search(monkeypatch):
+    """Every envelope visited is charged, so a tiny budget ends even a
+    search that would find a cover: the rectangle needs two chops."""
+    monkeypatch.setattr(construct, "BUDGET", 3)
+    with pytest.raises(PlannerStuckError, match="planner work budget spent"):
+        synthesize([(-1, -1), (0, -1), (0, 1), (-1, 1)], list(canonical_group("R1")))
 
 
 def test_synthesize_mirror_hexagon_by_chops():
@@ -319,14 +338,20 @@ def _case_set(name):
 
 
 CASE_SETS = {name: _case_set(name) for name in ("radius-1", "radius-2", "hulls")}
+# Hexagons with a coordinate of +-3 that only a cut with legs longer than
+# one reaches: at the corners of a triangle, and of a hexagon, that a
+# reflection fixes.  The per-tag envelope table built both with its
+# triangle pre-cuts, so they must keep building.
+CASE_SETS["long-legs"] = [
+    ("D6_1", ((-3, -4), (-1, -4), (4, 1), (4, 3), (-1, 3), (-3, 1))),
+    ("D6_2", ((-4, -3), (-3, -4), (3, -1), (4, 1), (1, 4), (-1, 3))),
+]
 
-# May only shrink.  Both are planner gaps: the one envelope above each
-# that a catalog cover realizes (a triangle, an index-48 honeycomb
-# cover) does not chop down to it, and nothing lies above that triangle.
+# May only shrink.  A planner gap: no envelope within the work budget
+# cuts down to it, though its mirror image (-3,-1),(-1,-3),(1,-2),(3,2),
+# (2,3),(-2,1) builds; it ends on the budget (about 13 s).
 EXPECTED_STUCK = {
-    # D6_2 hexagon with sides of lattice length 2, 1, 2, 1, 2, 1
-    ("D6_2", ((-3, -1), (-1, -3), (1, -2), (3, 2), (2, 3), (-2, 1))),
-    # its mirror image
+    # D6_2 hexagon with sides of lattice length 1, 2, 1, 2, 1, 2
     ("D6_2", ((-3, -2), (-2, -3), (2, -1), (3, 1), (1, 3), (-1, 2))),
 }
 
@@ -336,6 +361,7 @@ def test_case_sets_have_the_expected_sizes():
         "radius-1": 54,
         "radius-2": 45,
         "hulls": 238,
+        "long-legs": 2,
     }
     cases = {c for v in CASE_SETS.values() for c in v}
     assert EXPECTED_STUCK <= cases
@@ -349,7 +375,7 @@ def test_case_sets_have_the_expected_sizes():
             tag,
             poly,
             id=f"{name}-{tag}-" + "_".join(f"{x},{y}" for x, y in poly),
-            marks=[pytest.mark.slow] if name == "radius-2" else [],
+            marks=[pytest.mark.slow] if name in ("radius-2", "long-legs") else [],
         )
         for name, cases in CASE_SETS.items()
         for tag, poly in cases

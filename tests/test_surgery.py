@@ -40,6 +40,7 @@ from symdimer.surgery import (
     WholePolygonError,
     cover,
     corner_chop,
+    corner_cuts,
     delete_edges,
     reembed,
 )
@@ -313,7 +314,7 @@ def test_corner_chop_square_c2_gives_hexagon():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = corner_chop(m, [action], (1, 1))
+    chopped = corner_chop(m, action.elements, (1, 1))
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -329,7 +330,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
     m = cover(octagon_model(), mat(2, 0, 0, 2))
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
-    chopped = corner_chop(m, [action], (2, 0))
+    chopped = corner_chop(m, action.elements, (2, 0))
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -342,7 +343,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
 def test_corner_chop_trivial_group_matches_plain_cut():
     m = octagon_model()
     action = identity_action(m)
-    chopped = corner_chop(m, [action], (2, 0))
+    chopped = corner_chop(m, action.elements, (2, 0))
     assert poly_of(chopped) == ((0, 0), (1, -1), (1, 1))
 
 
@@ -351,7 +352,7 @@ def test_corner_chop_inadmissible_corner_rejected():
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
     with pytest.raises(ValueError):
-        corner_chop(m, [action], (1, 0))
+        corner_chop(m, action.elements, (1, 0))
 
 
 def test_corner_chop_whole_polygon_guard():
@@ -359,21 +360,21 @@ def test_corner_chop_whole_polygon_guard():
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
     with pytest.raises(WholePolygonError):
-        corner_chop(m, [action], (1, 0))
+        corner_chop(m, action.elements, (1, 0))
 
 
 def test_corner_chop_unreachable_target_exhausts():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     with pytest.raises(SearchExhaustedError):
-        corner_chop(m, [action], (1, 1), target=((0, 0), (5, 0), (0, 5)))
+        corner_chop(m, action.elements, (1, 1), target=((0, 0), (5, 0), (0, 5)))
 
 
 def test_corner_chop_dodecagon_c2_gives_diamond():
     m = dodecagon_model()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = corner_chop(m, [action], (1, 1))
+    chopped = corner_chop(m, action.elements, (1, 1))
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -402,10 +403,10 @@ def reembed_calls(monkeypatch):
 def test_repeated_chop_is_decided_once(reembed_calls):
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
-    first = corner_chop(m, [action], (1, 1))
+    first = corner_chop(m, action.elements, (1, 1))
     assert reembed_calls
     seen = len(reembed_calls)
-    assert corner_chop(m, [action], (1, 1)) is first
+    assert corner_chop(m, action.elements, (1, 1)) is first
     assert len(reembed_calls) == seen
 
 
@@ -414,52 +415,90 @@ def test_repeated_failing_chop_is_decided_once(reembed_calls):
     action = find_symmetry(m, canonical_group("C2"))
     target = ((0, 0), (5, 0), (0, 5))
     with pytest.raises(SearchExhaustedError) as first:
-        corner_chop(m, [action], (1, 1), target=target)
+        corner_chop(m, action.elements, (1, 1), target=target)
     seen = len(reembed_calls)
     with pytest.raises(SearchExhaustedError) as again:
-        corner_chop(m, [action], (1, 1), target=target)
+        corner_chop(m, action.elements, (1, 1), target=target)
     assert str(again.value) == str(first.value)
     assert len(reembed_calls) == seen
     # the same deleted edges toward another target are a new candidate
     cold = centered_square_cover()
-    want = corner_chop(cold, [find_symmetry(cold, canonical_group("C2"))], (1, 1))
-    assert corner_chop(m, [action], (1, 1)) == want
+    want = corner_chop(cold, canonical_group("C2"), (1, 1))
+    assert corner_chop(m, action.elements, (1, 1)) == want
 
 
-def test_budget_counts_each_candidate_decided_once(reembed_calls):
+def test_budget_counts_edges_handled(reembed_calls):
     m = centered_square_cover()
-    actions = list(symmetry_actions(m, canonical_group("C2")))
-    with pytest.raises(BudgetSpentError, match="0 of 0"):
-        corner_chop(m, actions, (1, 1), budget=Budget(0))
-    budget = Budget(10)
-    first = corner_chop(m, actions, (1, 1), budget=budget)
-    assert budget.spent == len(reembed_calls) > 0
-    # kept verdicts are free: the same chop again costs nothing
-    assert corner_chop(m, actions, (1, 1), budget=budget) is first
-    assert budget.spent == len(reembed_calls)
+    group = canonical_group("C2")
+    with pytest.raises(BudgetSpentError, match="0 of 0 edge units"):
+        corner_chop(m, group, (1, 1), budget=Budget(0))
+    budget = Budget(10**6)
+    first = corner_chop(m, group, (1, 1), budget=budget)
+    assert reembed_calls
+    # gathering the candidates, then each candidate decided
+    assert budget.spent == len(m.edges) * (1 + len(reembed_calls))
+    # kept verdicts are free: the same chop again costs the gathering
+    spent = budget.spent
+    assert corner_chop(m, group, (1, 1), budget=budget) is first
+    assert budget.spent == spent + len(m.edges)
 
 
-def test_chop_without_actions_exhausts():
-    with pytest.raises(SearchExhaustedError, match="no action"):
-        corner_chop(centered_square_cover(), [], (1, 1))
-
-
-def test_chop_skips_actions_with_repeated_edge_orbits():
-    """Every action of D4_2 on a 2x2 square cover, against the distinct
-    edge-orbit partitions alone: the same candidates in the same order,
-    so the same failure."""
+def test_distinct_edge_orbits_cover_every_action():
+    """D4_2 on a 2x2 square cover: each edge-orbit partition of an
+    action comes once, in order of first appearance."""
     m = centered_square_cover()
-    actions = list(symmetry_actions(m, canonical_group("D4_2")))
-    distinct = {}
-    for act in actions:
-        distinct.setdefault(frozenset(surgery._edge_orbits(act).values()), act)
-    assert len(distinct) < len(actions)
-    target = ((0, 0), (9, 0), (0, 9))
-    with pytest.raises(SearchExhaustedError) as every:
-        corner_chop(m, actions, (1, 1), target=target)
-    with pytest.raises(SearchExhaustedError) as once:
-        corner_chop(m, list(distinct.values()), (1, 1), target=target)
-    assert str(every.value) == str(once.value)
+    group = canonical_group("D4_2")
+    every = [
+        frozenset(surgery._edge_orbits(a).values())
+        for a in symmetry_actions(m, group)
+    ]
+    once = [frozenset(o.values()) for o in surgery._distinct_edge_orbits(m, group)]
+    assert len(once) < len(every)
+    assert once == list(dict.fromkeys(every))
+
+
+def test_corner_cuts_yield_each_outcome_once():
+    m = centered_square_cover()
+    group = canonical_group("C2")
+    cuts = list(corner_cuts(m, group, (1, 1)))
+    assert cuts and corner_chop(m, group, (1, 1)) is cuts[0]
+    assert len({id(c) for c in cuts}) == len(cuts)
+    for cut in cuts:
+        assert exact_invariant_frame(poly_of(cut), group) == convex_hull(
+            [(1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
+        )
+
+
+def test_long_legs_need_a_target():
+    m = centered_square_cover()
+    with pytest.raises(ValueError, match="needs its target"):
+        corner_chop(m, canonical_group("C2"), (1, 1), legs=2)
+
+
+def test_cut_with_two_legs_at_mirror_corners():
+    """D6_1 on the honeycomb cover whose polygon is a triangle with sides
+    of length 6: cutting legs of length 2 off each corner leaves the
+    hexagon with sides of length 2.  One-leg chops cannot get there: the
+    two corners a one-leg chop leaves are mirror images joined by a
+    primitive segment, which no admissible chop cuts again."""
+    group = canonical_group("D6_1")
+    tri = cover(hexagonal_model(), mat(6, 0, 0, 6))
+    frame = exact_invariant_frame(poly_of(tri), group)
+    assert len(frame) == 3
+    ends = [
+        (c[0] + 2 * (q[0] - c[0]) // 6, c[1] + 2 * (q[1] - c[1]) // 6)
+        for i, c in enumerate(frame)
+        for q in (frame[i - 1], frame[(i + 1) % 3])
+    ]
+    target = convex_hull(ends)
+    assert len(target) == 6
+    with pytest.raises(SearchExhaustedError):
+        corner_chop(tri, group, frame[0], target=target)
+    cut = corner_chop(tri, group, frame[0], legs=2, target=target)
+    assert validate(cut).ok
+    assert check_consistency(cut).consistent
+    assert exact_invariant_frame(poly_of(cut), group) == target
+    assert find_symmetry(cut, group, require_fixed_face=True) is not None
 
 
 def test_accept_runs_on_every_repeated_cut():
@@ -471,34 +510,34 @@ def test_accept_runs_on_every_repeated_cut():
         seen.append(cut)
         return True
 
-    first = corner_chop(m, [action], (1, 1), accept=accept)
-    assert corner_chop(m, [action], (1, 1), accept=accept) is first
+    first = corner_chop(m, action.elements, (1, 1), accept=accept)
+    assert corner_chop(m, action.elements, (1, 1), accept=accept) is first
     assert seen == [first, first]
     # a rejecting predicate is asked again on the same cached cuts
     rejected = []
     for _ in range(2):
         with pytest.raises(SearchExhaustedError):
-            corner_chop(m, [action], (1, 1), accept=lambda cut: rejected.append(cut))
+            corner_chop(m, action.elements, (1, 1), accept=lambda cut: rejected.append(cut))
     half = len(rejected) // 2
     assert rejected[0] is first
     assert all(a is b for a, b in zip(rejected[:half], rejected[half:]))
     assert len(rejected) == 2 * half
-    assert corner_chop(m, [action], (1, 1)) is first
+    assert corner_chop(m, action.elements, (1, 1)) is first
 
 
-def _chop_outcome(model, action, corner):
+def _chop_outcome(model, group, corner):
     try:
-        cut = corner_chop(model, [action], corner)
+        cut = corner_chop(model, group, corner)
     except SurgeryError as exc:
         return type(exc), str(exc)
     return cut.nodes, cut.edges
 
 
 def test_cold_and_warm_cut_caches_agree():
-    """Every admissible corner chop under every face-fixing action on the
-    catalog models and their covers of index 2: a fresh copy of the model
-    per chop (cold cache) against one model shared by all the chops of a
-    group, asked twice (warm cache)."""
+    """Every admissible corner chop under every group with a face-fixing
+    action on the catalog models and their covers of index 2: a fresh
+    copy of the model per chop (cold cache) against one model shared by
+    all the chops of a group, asked twice (warm cache)."""
     chops = cuts = 0
     for make in CATALOG:
         base = make()
@@ -511,20 +550,19 @@ def test_cold_and_warm_cut_caches_agree():
             for tag in GROUP_TAGS:
                 mats = canonical_group(tag)
                 warm = DimerModel(model.nodes, model.edges)
-                for action in symmetry_actions(warm, mats):
-                    if not action.fixed_faces():
+                if not any(a.fixed_faces() for a in symmetry_actions(warm, mats)):
+                    continue
+                try:
+                    frame = exact_invariant_frame(poly_of(warm), mats)
+                except ValueError:
+                    continue
+                for corner in frame:
+                    if not corner_chop_admissible(frame, mats, corner):
                         continue
-                    try:
-                        frame = exact_invariant_frame(poly_of(warm), mats)
-                    except ValueError:
-                        break
-                    for corner in frame:
-                        if not corner_chop_admissible(frame, mats, corner):
-                            continue
-                        cold = DimerModel(model.nodes, model.edges)
-                        want = _chop_outcome(cold, action, corner)
-                        assert _chop_outcome(warm, action, corner) == want
-                        assert _chop_outcome(warm, action, corner) == want
-                        chops += 1
-                        cuts += not isinstance(want[0], type)
+                    cold = DimerModel(model.nodes, model.edges)
+                    want = _chop_outcome(cold, mats, corner)
+                    assert _chop_outcome(warm, mats, corner) == want
+                    assert _chop_outcome(warm, mats, corner) == want
+                    chops += 1
+                    cuts += not isinstance(want[0], type)
     assert chops > 150 and 50 < cuts < chops
