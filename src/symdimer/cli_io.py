@@ -368,6 +368,24 @@ def _report_doc(report: Report) -> dict:
     }
 
 
+class _CommandExit(Exception):
+    """Ends a command with an exit code and a one-line message on stderr."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _generate(gens: List[Mat2]) -> Tuple[Mat2, ...]:
+    """generate_group, its refusals turned into command exits."""
+    try:
+        return generate_group(gens)
+    except NotFiniteError as exc:
+        raise _CommandExit(EXIT_NOT_FINITE, f"group is not finite: {exc}") from exc
+    except ValueError as exc:
+        raise _CommandExit(EXIT_MALFORMED, f"bad generators: {exc}") from exc
+
+
 def _first_failure(report: Report) -> str:
     for name, flag in (
         ("valid_dimer", report.valid_dimer),
@@ -382,16 +400,7 @@ def _first_failure(report: Report) -> str:
 
 
 def cmd_classify_group(args) -> int:
-    gens = group_from_doc(_load_json(args.infile))
-    try:
-        elements = generate_group(gens)
-    except NotFiniteError as exc:
-        print(f"group is not finite: {exc}", file=sys.stderr)
-        return EXIT_NOT_FINITE
-    except ValueError as exc:
-        print(f"bad generators: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    cls = classify_group(elements)
+    cls = classify_group(_generate(group_from_doc(_load_json(args.infile))))
     doc = {
         "tag": cls.tag,
         "order": cls.order,
@@ -404,14 +413,7 @@ def cmd_classify_group(args) -> int:
 def cmd_synthesize(args) -> int:
     corners = polygon_from_doc(_load_json(args.polygon))
     gens = group_from_doc(_load_json(args.group))
-    try:
-        generate_group(gens)
-    except NotFiniteError as exc:
-        print(f"group is not finite: {exc}", file=sys.stderr)
-        return EXIT_NOT_FINITE
-    except ValueError as exc:
-        print(f"bad generators: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    _generate(gens)
     try:
         sd = synthesize(corners, gens)
     except NotInvariantError as exc:
@@ -459,13 +461,8 @@ def cmd_verify(args) -> int:
     model, _meta = model_from_doc(_load_json(args.model))
     action = None
     if args.group:
-        gens = group_from_doc(_load_json(args.group))
-        try:
-            generate_group(gens)
-        except NotFiniteError as exc:
-            print(f"group is not finite: {exc}", file=sys.stderr)
-            return EXIT_NOT_FINITE
-        action = gens
+        action = group_from_doc(_load_json(args.group))
+        _generate(action)
     polygon = polygon_from_doc(_load_json(args.polygon)) if args.polygon else None
     report = verify_bundle(model, action=action, polygon=polygon)
     sys.stdout.write(emit_json(_report_doc(report)))
@@ -504,12 +501,7 @@ def cmd_quiver(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_MALFORMED
-        gens = group_from_doc({"generators": raw})
-        try:
-            elements = generate_group(gens)
-        except NotFiniteError as exc:
-            print(f"group is not finite: {exc}", file=sys.stderr)
-            return EXIT_NOT_FINITE
+        elements = _generate(group_from_doc({"generators": raw}))
         try:
             action = find_symmetry(model, elements, require_fixed_face=True)
         except NoFixedFaceError:
@@ -637,6 +629,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except _CommandExit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

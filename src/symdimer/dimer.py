@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .lattice import Mat2, Vec, _cross
 
@@ -568,6 +568,30 @@ class SymmetryAction:
         if h not in self.maps:
             raise UnknownElementError(f"{h.rows()} is not in the stored group")
         return self.maps[h]
+
+    def edge_orbits(self) -> Dict[int, FrozenSet[int]]:
+        """Each edge's orbit under the maps the elements generate.
+
+        Generated, not one image per element: the element maps of an
+        action on a model with extra translations need not compose as the
+        group does."""
+        perms = [self.edge_perm(h) for h in self.elements]
+        orbits: Dict[int, FrozenSet[int]] = {}
+        for start in perms[0]:  # every edge id
+            if start in orbits:
+                continue
+            orb = {start}
+            todo = [start]
+            while todo:
+                e = todo.pop()
+                for perm in perms:
+                    if perm[e] not in orb:
+                        orb.add(perm[e])
+                        todo.append(perm[e])
+            frozen = frozenset(orb)
+            for e in orb:
+                orbits[e] = frozen
+        return orbits
 
     def fixed_faces(self) -> List[int]:
         ids = None

@@ -469,6 +469,14 @@ def corner_chop_admissible(
     return True
 
 
+def _bezout(a: int, b: int) -> Tuple[int, int]:
+    """(x, y) with a*x + b*y == +-gcd(a, b)."""
+    if b == 0:
+        return (1, 0)
+    x, y = _bezout(b, a % b)
+    return (y, x - (a // b) * y)
+
+
 def exact_invariant_frame(
     poly: Sequence[Vec], elements: Iterable[Mat2]
 ) -> Tuple[Vec, ...]:
@@ -478,68 +486,47 @@ def exact_invariant_frame(
     is an integer vector tau(h) with h(poly) == poly + tau(h).  This solves
     the compatibility system h(sigma) - sigma = tau(h) for a lattice shift
     sigma and returns poly - sigma, which satisfies h(P) == P exactly.
+    The solution is canonical, so translates of one polygon land on one
+    frame: with no nonzero row in the h - I, sigma is the smallest corner;
+    with rank 1 it is the solution that brings the smallest corner nearest
+    the origin (1-norm, then lexicographically); with rank 2 it is unique.
     Raises ValueError when no lattice shift works.
     """
     base = convex_hull(poly)
-    mats = list(elements)
-    taus = []
-    for h in mats:
+    anchor = min(base)
+    # Two scalar equations row . sigma == rhs per element, one per row of h - I.
+    eqs = []
+    for h in elements:
         image = convex_hull(apply_matrix_to_polygon(h, base))
         if normalize_translation(image) != normalize_translation(base):
             raise ValueError("polygon is not invariant up to translation")
-        anchor_img = min(image)
-        anchor = min(base)
-        taus.append((h, (anchor_img[0] - anchor[0], anchor_img[1] - anchor[1])))
-    lo = min(min(p[0] for p in base), min(p[1] for p in base))
-    hi = max(max(p[0] for p in base), max(p[1] for p in base))
-    spread = max(abs(t[0]) for _, t in taus) if taus else 0
-    spread = max(spread, max(abs(t[1]) for _, t in taus) if taus else 0)
-    bound = (hi - lo) + spread + 1
-    shifts = sorted(
-        (
-            (s1, s2)
-            for s1 in range(-bound, bound + 1)
-            for s2 in range(-bound, bound + 1)
-        ),
-        key=lambda s: (abs(s[0]) + abs(s[1]), s),
-    )
-    sigma = None
-    for s1, s2 in shifts:
-        ok = True
-        for h, tau in taus:
-            img = h.apply((s1, s2))
-            if (img[0] - s1, img[1] - s2) != tau:
-                ok = False
-                break
-        if ok:
-            sigma = (s1, s2)
-            break
-    if sigma is None:
-        raise ValueError("no lattice shift makes the polygon exactly invariant")
-    # Every shift in sigma plus the lattice of group-invariant vectors also
-    # works; pick the representative canonically so that translates of the
-    # same polygon always land on the same frame.
-    rows = []
-    for h in mats:
-        for row in ((h.a - 1, h.b), (h.c, h.d - 1)):
-            if row != (0, 0):
-                rows.append(row)
-    anchor = min(base)
+        tau = (min(image)[0] - anchor[0], min(image)[1] - anchor[1])
+        eqs += [((h.a - 1, h.b), tau[0]), ((h.c, h.d - 1), tau[1])]
+    rows = [(r, t) for r, t in eqs if r != (0, 0)]
     if not rows:
         sigma = anchor
     else:
-        r0 = rows[0]
-        if all(r[0] * r0[1] - r[1] * r0[0] == 0 for r in rows):
-            g = gcd(abs(r0[0]), abs(r0[1]))
+        r0, t0 = rows[0]
+        other = next(((r, t) for r, t in rows if _cross((0, 0), r0, r)), None)
+        if other is None:
+            x, y = _bezout(r0[0], r0[1])
+            g = r0[0] * x + r0[1] * y
+            # Every sigma + t*v0 also solves: take the one that brings the
+            # smallest corner nearest the origin.
             v0 = (-r0[1] // g, r0[0] // g)
-            start = (anchor[0] - sigma[0], anchor[1] - sigma[1])
+            start = (anchor[0] - t0 // g * x, anchor[1] - t0 // g * y)
             reach = abs(start[0]) + abs(start[1]) + 1
-            best = None
-            for t in range(-reach, reach + 1):
-                pt = (start[0] - t * v0[0], start[1] - t * v0[1])
-                key = (abs(pt[0]) + abs(pt[1]), pt)
-                if best is None or key < best[0]:
-                    best = (key, t)
-            t = best[1]
-            sigma = (sigma[0] + t * v0[0], sigma[1] + t * v0[1])
+            corner = min(
+                ((start[0] - t * v0[0], start[1] - t * v0[1]) for t in range(-reach, reach + 1)),
+                key=lambda p: (abs(p[0]) + abs(p[1]), p),
+            )
+            sigma = (anchor[0] - corner[0], anchor[1] - corner[1])
+        else:
+            r1, t1 = other
+            det = _cross((0, 0), r0, r1)
+            sigma = ((t0 * r1[1] - t1 * r0[1]) // det, (r0[0] * t1 - r1[0] * t0) // det)
+    # Checking every equation also rejects a rounded, non-integral solution
+    # (g not dividing t0, or det not dividing Cramer's numerators).
+    if any(r[0] * sigma[0] + r[1] * sigma[1] != t for r, t in eqs):
+        raise ValueError("no lattice shift makes the polygon exactly invariant")
     return translate_polygon(base, (-sigma[0], -sigma[1]))

@@ -31,7 +31,6 @@ from .dimer import (
     Edge,
     MergeLoopError,
     Node,
-    SymmetryAction,
     frac_pt,
     remove_divalent,
     symmetry_actions,
@@ -376,31 +375,6 @@ class Budget:
         self.spent += cost
 
 
-def _edge_orbits(action: SymmetryAction) -> Dict[int, FrozenSet[int]]:
-    """Each edge's orbit under the maps the action's elements generate.
-
-    Generated, not one image per element: the element maps of an action
-    on a model with extra translations need not compose as the group
-    does."""
-    perms = [action.edge_perm(h) for h in action.elements]
-    orbits: Dict[int, FrozenSet[int]] = {}
-    for start in perms[0]:  # every edge id
-        if start in orbits:
-            continue
-        orb = {start}
-        todo = [start]
-        while todo:
-            e = todo.pop()
-            for perm in perms:
-                if perm[e] not in orb:
-                    orb.add(perm[e])
-                    todo.append(perm[e])
-        frozen = frozenset(orb)
-        for e in orb:
-            orbits[e] = frozen
-    return orbits
-
-
 def _cut(
     model: DimerModel, doomed: Set[int], target: Tuple[Vec, ...]
 ) -> Optional[DimerModel]:
@@ -458,7 +432,7 @@ def _distinct_edge_orbits(
     repeats an earlier one's: it would give the same deleted edge sets."""
     seen = set()
     for action in symmetry_actions(model, group):
-        orbits = _edge_orbits(action)
+        orbits = action.edge_orbits()
         partition = frozenset(orbits.values())
         if partition not in seen:
             seen.add(partition)

@@ -68,6 +68,27 @@ def test_classify_group_rejects_infinite_order(tmp_path, capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("command", ["classify-group", "synthesize", "verify", "quiver-twist"])
+def test_commands_refuse_a_non_unimodular_generator(tmp_path, capsys, command):
+    gens = [[[2, 0], [0, 1]]]
+    group = group_file(tmp_path, "g.json", gens)
+    model = model_file(tmp_path, "m.json", hexagonal_model(), {"generators": gens})
+    argv = {
+        "classify-group": ["classify-group", "--in", group],
+        "synthesize": [
+            "synthesize", "--group", group, "--out", str(tmp_path / "out.json"),
+            "--polygon", polygon_file(tmp_path, "p.json", [[0, 0], [1, 0], [0, 1]]),
+        ],
+        "verify": ["verify", "--model", model, "--group", group],
+        "quiver-twist": ["quiver", "--model", model, "--twist"],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "bad generators" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
@@ -325,8 +346,12 @@ def test_quiver_on_edges_leaving_at_one_angle_exits_one(tmp_path, capsys):
     assert "same angle" in err
 
 
-@pytest.mark.parametrize("argv", [["quiver", "--twist"], ["matchings"]])
-def test_commands_enumerate_the_matchings_once(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize(
+    "argv,enumerations",
+    [(["quiver", "--twist"], 0), (["matchings"], 1)],
+    ids=["quiver-twist", "matchings"],
+)
+def test_only_the_matchings_command_enumerates(tmp_path, capsys, monkeypatch, argv, enumerations):
     calls = []
     real = matchings.enumerate_matchings
 
@@ -340,7 +365,7 @@ def test_commands_enumerate_the_matchings_once(tmp_path, capsys, monkeypatch, ar
     path = model_file(tmp_path, "oct.json", CATALOG["octagon"](), meta)
     code, _, _ = run(capsys, [argv[0], "--model", path] + argv[1:])
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == enumerations
 
 
 def test_matchings_of_the_unit_hexagonal_model(tmp_path, capsys):

@@ -8,6 +8,7 @@ Oracles used here:
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -271,3 +272,103 @@ def test_normalize_translation():
     assert not L.same_up_to_translation(
         p1, L.convex_hull([(0, 0), (1, 0), (1, 1)])
     )
+
+
+def scanned_invariant_frame(poly, elements):
+    """Reference for exact_invariant_frame: scan every shift in a box,
+    smallest first, for one that solves h(sigma) - sigma = tau(h), then
+    move it to the canonical solution along the kernel of the h - I."""
+    base = L.convex_hull(poly)
+    mats = list(elements)
+    taus = []
+    for h in mats:
+        image = L.convex_hull(L.apply_matrix_to_polygon(h, base))
+        if L.normalize_translation(image) != L.normalize_translation(base):
+            raise ValueError("polygon is not invariant up to translation")
+        anchor_img = min(image)
+        anchor = min(base)
+        taus.append((h, (anchor_img[0] - anchor[0], anchor_img[1] - anchor[1])))
+    lo = min(min(p[0] for p in base), min(p[1] for p in base))
+    hi = max(max(p[0] for p in base), max(p[1] for p in base))
+    spread = max(abs(t[0]) for _, t in taus) if taus else 0
+    spread = max(spread, max(abs(t[1]) for _, t in taus) if taus else 0)
+    bound = (hi - lo) + spread + 1
+    shifts = sorted(
+        itertools.product(range(-bound, bound + 1), repeat=2),
+        key=lambda s: (abs(s[0]) + abs(s[1]), s),
+    )
+    sigma = next(
+        (
+            s
+            for s in shifts
+            if all(
+                (h.apply(s)[0] - s[0], h.apply(s)[1] - s[1]) == tau for h, tau in taus
+            )
+        ),
+        None,
+    )
+    if sigma is None:
+        raise ValueError("no lattice shift makes the polygon exactly invariant")
+    rows = [
+        row
+        for h in mats
+        for row in ((h.a - 1, h.b), (h.c, h.d - 1))
+        if row != (0, 0)
+    ]
+    anchor = min(base)
+    if not rows:
+        sigma = anchor
+    elif all(r[0] * rows[0][1] - r[1] * rows[0][0] == 0 for r in rows):
+        r0 = rows[0]
+        g = math.gcd(r0[0], r0[1])
+        v0 = (-r0[1] // g, r0[0] // g)
+        start = (anchor[0] - sigma[0], anchor[1] - sigma[1])
+        reach = abs(start[0]) + abs(start[1]) + 1
+        t = min(
+            range(-reach, reach + 1),
+            key=lambda t: (
+                abs(start[0] - t * v0[0]) + abs(start[1] - t * v0[1]),
+                (start[0] - t * v0[0], start[1] - t * v0[1]),
+            ),
+        )
+        sigma = (sigma[0] + t * v0[0], sigma[1] + t * v0[1])
+    return L.translate_polygon(base, (-sigma[0], -sigma[1]))
+
+
+def _frame_or_refusal(solve, poly, group):
+    try:
+        return solve(poly, group)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_invariant_frame_agrees_with_the_scan():
+    """Every hull of a union of orbits of points of [-1,1]^2 (the sweep
+    polygons among them) and of one orbit of a point of [-2,2]^2, under
+    each group and moved by a few translations; plus the hulls of points
+    of [0,1]^2, most of which have no invariant frame."""
+    grid = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    ring = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if 2 in (abs(x), abs(y))]
+    unit = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    moves = [(0, 0), (1, 0), (0, -1), (-2, 3), (5, -4), (-7, -6)]
+    seen = {"frame": 0, "refusal": 0}
+    for tag in L.GROUP_TAGS:
+        group = L.canonical_group(tag)
+        orbits = sorted({L.orbit(group, p) for p in grid})
+        seeds = [o for r in range(1, len(orbits) + 1) for o in itertools.combinations(orbits, r)]
+        seeds += [[L.orbit(group, p)] for p in ring]
+        seeds += [[c] for r in (3, 4) for c in itertools.combinations(unit, r)]
+        polys = set()
+        for seed in seeds:
+            try:
+                polys.add(L.convex_hull(p for o in seed for p in o))
+            except L.DegenerateError:
+                pass
+        for poly in sorted(polys):
+            for v in moves:
+                moved = L.translate_polygon(poly, v)
+                got = _frame_or_refusal(L.exact_invariant_frame, moved, group)
+                assert got == _frame_or_refusal(scanned_invariant_frame, moved, group), (tag, moved)
+                seen["refusal" if isinstance(got, str) else "frame"] += 1
+    assert seen["frame"] > 6 * 238
+    assert seen["refusal"] > 0

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from symdimer import matchings
 from symdimer.construct import (
     dodecagon_model,
     hexagonal_model,
     octagon_model,
     square_model,
+    synthesize,
     verify_bundle,
 )
 from symdimer.dimer import (
@@ -257,18 +259,43 @@ def test_invariant_matching_octagon():
     assert height_change(model, inv, ref) == (0, 0)
     for h in action.elements:
         assert apply_to_matching(action, h, inv) == inv
-
-
-def test_invariant_matching_orbit_fallback():
-    # A tiny cap forces the orbit-cover search; it must agree.
-    model = octagon_model()
-    action = find_symmetry(model, canonical_group("D8"))
-    assert invariant_matching_at_origin(model, action, cap=3) == (0, 2, 5, 7)
     model = dodecagon_model()
     action = find_symmetry(model, canonical_group("D12"))
-    full = invariant_matching_at_origin(model, action)
-    assert full == (0, 2, 4, 6, 8, 10)
-    assert invariant_matching_at_origin(model, action, cap=2) == full
+    assert invariant_matching_at_origin(model, action) == (0, 2, 4, 6, 8, 10)
+
+
+def origin_height(model, action):
+    """Absolute height of the origin of the invariant frame."""
+    hull = characteristic_polygon(model)
+    frame = exact_invariant_frame(hull, action.elements)
+    return (hull[0][0] - frame[0][0], hull[0][1] - frame[0][1])
+
+
+def test_origin_matching_needs_no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_matchings called")
+
+    monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
+    for tag, polygon in [
+        ("C6", [(2, 0), (2, 2), (0, 2), (-2, 0), (-2, -2), (0, -2)]),
+        ("D8", [(-2, -2), (2, -2), (2, 2), (-2, 2)]),
+    ]:
+        sd = synthesize(polygon, list(canonical_group(tag)))
+        found = invariant_matching_at_origin(sd.model, sd.action)
+        assert is_perfect_matching(sd.model, found)
+        assert height_change(sd.model, found, ()) == origin_height(sd.model, sd.action)
+        for h in sd.action.elements:
+            assert apply_to_matching(sd.action, h, found) == found
+        assert invariant_matching_at_origin(sd.model, sd.action) == found
+
+
+def test_origin_matching_search_is_bounded(monkeypatch):
+    model = cover(square_model(), Mat2(2, 0, 0, 2))
+    action = find_symmetry(model, canonical_group("TRIVIAL"))
+    assert invariant_matching_at_origin(model, action)
+    monkeypatch.setattr(matchings, "SEARCH_BOUND", 3)
+    with pytest.raises(NoInvariantMatchingError, match="bound of 3"):
+        invariant_matching_at_origin(model, action)
 
 
 def two_pass_origin_matching(model, action):
@@ -296,25 +323,43 @@ def two_pass_origin_matching(model, action):
     return None
 
 
-def test_origin_matching_agrees_with_the_two_pass_reference():
+def hnf_covers(model, index):
+    """The covers of the model by sublattice bases [[a,b],[0,d]] in
+    Hermite normal form (0 <= b < a) with a*d = index."""
+    for a in range(1, index + 1):
+        if index % a == 0:
+            for b in range(a):
+                yield (a, b, index // a), cover(model, Mat2(a, b, 0, index // a))
+
+
+def check_against_the_two_pass_reference(indices):
     checked = 0
     for name, mk in ALL_MODELS:
-        model = mk()
-        for tag in GROUP_TAGS:
-            try:
-                action = find_symmetry(
-                    model, canonical_group(tag), require_fixed_face=True
-                )
-            except (NotSymmetricError, NoFixedFaceError):
-                continue
-            want = two_pass_origin_matching(model, action)
-            try:
-                got = invariant_matching_at_origin(model, action)
-            except (NoInvariantMatchingError, OriginNotInPolygonError):
-                got = None
-            assert got == want, (name, tag)
-            checked += 1
-    assert checked >= len(ALL_MODELS)
+        for basis, model in (c for i in indices for c in hnf_covers(mk(), i)):
+            for tag in GROUP_TAGS:
+                try:
+                    action = find_symmetry(
+                        model, canonical_group(tag), require_fixed_face=True
+                    )
+                except (NotSymmetricError, NoFixedFaceError):
+                    continue
+                want = two_pass_origin_matching(model, action)
+                try:
+                    got = invariant_matching_at_origin(model, action)
+                except (NoInvariantMatchingError, OriginNotInPolygonError):
+                    got = None
+                assert got == want, (name, basis, tag)
+                checked += 1
+    return checked
+
+
+def test_origin_matching_agrees_with_the_two_pass_reference():
+    assert check_against_the_two_pass_reference([1, 2]) == 49
+
+
+@pytest.mark.slow
+def test_origin_matching_agrees_with_the_two_pass_reference_at_index_3():
+    assert check_against_the_two_pass_reference([3]) == 32
 
 
 @pytest.mark.parametrize("name,mk", ALL_MODELS)

@@ -449,7 +449,7 @@ def test_distinct_edge_orbits_cover_every_action():
     m = centered_square_cover()
     group = canonical_group("D4_2")
     every = [
-        frozenset(surgery._edge_orbits(a).values())
+        frozenset(a.edge_orbits().values())
         for a in symmetry_actions(m, group)
     ]
     once = [frozenset(o.values()) for o in surgery._distinct_edge_orbits(m, group)]
