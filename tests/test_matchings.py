@@ -259,9 +259,22 @@ def test_invariant_matching_octagon():
     assert height_change(model, inv, ref) == (0, 0)
     for h in action.elements:
         assert apply_to_matching(action, h, inv) == inv
+
+
+def test_invariant_matching_orbit_fallback(monkeypatch):
+    # The orbit search needs only a handful of search nodes on the
+    # symmetric catalog models; a tiny bound must give the same matching.
+    model = octagon_model()
+    action = find_symmetry(model, canonical_group("D8"))
+    monkeypatch.setattr(matchings, "SEARCH_BOUND", 3)
+    assert invariant_matching_at_origin(model, action) == (0, 2, 5, 7)
     model = dodecagon_model()
     action = find_symmetry(model, canonical_group("D12"))
-    assert invariant_matching_at_origin(model, action) == (0, 2, 4, 6, 8, 10)
+    monkeypatch.undo()
+    full = invariant_matching_at_origin(model, action)
+    assert full == (0, 2, 4, 6, 8, 10)
+    monkeypatch.setattr(matchings, "SEARCH_BOUND", 2)
+    assert invariant_matching_at_origin(model, action) == full
 
 
 def origin_height(model, action):
