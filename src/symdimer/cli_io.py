@@ -42,7 +42,6 @@ from .dimer import (
     WHITE,
     DimerModel,
     Edge,
-    NoFixedFaceError,
     Node,
     NotSymmetricError,
     TwoEdgesSameDirectionError,
@@ -193,10 +192,6 @@ def model_from_doc(doc) -> Tuple[DimerModel, dict]:
     return model, meta
 
 
-def polygon_to_doc(corners: Sequence[Tuple[int, int]]) -> dict:
-    return {"corners": [[x, y] for x, y in corners]}
-
-
 def polygon_from_doc(doc) -> List[Tuple[int, int]]:
     _require(isinstance(doc, dict), "polygon document must be an object")
     corners = doc.get("corners")
@@ -208,11 +203,11 @@ def polygon_from_doc(doc) -> List[Tuple[int, int]]:
             "each corner must be an [x, y] pair",
         )
         out.append((_as_int(item[0], "corner x"), _as_int(item[1], "corner y")))
+    try:
+        convex_hull(out)
+    except DegenerateError as exc:
+        raise FormatError(f"polygon corners span no polygon: {exc}") from exc
     return out
-
-
-def group_to_doc(generators: Sequence[Mat2]) -> dict:
-    return {"generators": [list(g.rows()) for g in generators]}
 
 
 def group_from_doc(doc) -> List[Mat2]:
@@ -503,8 +498,6 @@ def cmd_quiver(args) -> int:
             return EXIT_MALFORMED
         elements = _generate(group_from_doc({"generators": raw}))
         try:
-            action = find_symmetry(model, elements, require_fixed_face=True)
-        except NoFixedFaceError:
             action = find_symmetry(model, elements)
         except NotSymmetricError as exc:
             print(f"group metadata does not act on the model: {exc}", file=sys.stderr)
@@ -539,6 +532,8 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_matchings(args) -> int:
+    if args.cap < 1:
+        raise _CommandExit(EXIT_MALFORMED, f"--cap must be at least 1, not {args.cap}")
     model, _meta = model_from_doc(_load_json(args.model))
     try:
         ms = enumerate_matchings(model, cap=args.cap)

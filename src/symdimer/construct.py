@@ -29,7 +29,6 @@ from .dimer import (
     WHITE,
     DimerModel,
     Edge,
-    NoFixedFaceError,
     Node,
     NotSymmetricError,
     SymmetryAction,
@@ -455,9 +454,10 @@ def _envelopes_above(
 
 def _fixing_action(model: DimerModel, group: Sequence[Mat2]) -> Optional[SymmetryAction]:
     try:
-        return find_symmetry(model, group, require_fixed_face=True)
-    except (NotSymmetricError, NoFixedFaceError):
+        action = find_symmetry(model, group)
+    except NotSymmetricError:
         return None
+    return action if action.fixed_faces() else None
 
 
 def _chop_down(
@@ -591,7 +591,7 @@ def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricD
         )
     model, steps = found
     trace.extend(steps)
-    action = find_symmetry(model, group, require_fixed_face=True)
+    action = find_symmetry(model, group)
     trace.append({"step": "done", "polygon": [list(v) for v in target]})
     return SymmetricDimer(
         model=model,
@@ -682,8 +682,6 @@ def verify_bundle(
         else:
             mats = generate_group(list(action))
         try:
-            found = find_symmetry(model, mats, require_fixed_face=True)
-        except NoFixedFaceError:
             found = find_symmetry(model, mats)
         except NotSymmetricError:
             found = None
@@ -706,8 +704,6 @@ def verify_bundle(
                 want_frame = exact_invariant_frame(want, mats)
                 polygon_match = tuple(frame) == tuple(want_frame)
             except ValueError:
-                polygon_match = False
-            if polygon_match and not same_up_to_translation(zz, want):
                 polygon_match = False
         else:
             polygon_match = same_up_to_translation(zz, want)

@@ -9,8 +9,10 @@ node coordinates, so they compare ints, never Fractions.
 
 Symmetry convention: a group element h acts on polygon (N) coordinates
 as the matrix itself and on torus (M) coordinates by the inverse
-transpose, composed with a rational translation; elements with
-determinant -1 exchange the two node colors.
+transpose, composed with a rational translation t_h; elements with
+determinant -1 exchange the two node colors.  The maps form a group
+action: t_(e g) = linear_e t_g + t_e modulo Z^2 for all elements e, g,
+so the permutations compose as the group does.
 """
 
 from __future__ import annotations
@@ -570,28 +572,9 @@ class SymmetryAction:
         return self.maps[h]
 
     def edge_orbits(self) -> Dict[int, FrozenSet[int]]:
-        """Each edge's orbit under the maps the elements generate.
-
-        Generated, not one image per element: the element maps of an
-        action on a model with extra translations need not compose as the
-        group does."""
-        perms = [self.edge_perm(h) for h in self.elements]
-        orbits: Dict[int, FrozenSet[int]] = {}
-        for start in perms[0]:  # every edge id
-            if start in orbits:
-                continue
-            orb = {start}
-            todo = [start]
-            while todo:
-                e = todo.pop()
-                for perm in perms:
-                    if perm[e] not in orb:
-                        orb.add(perm[e])
-                        todo.append(perm[e])
-            frozen = frozenset(orb)
-            for e in orb:
-                orbits[e] = frozen
-        return orbits
+        """Each edge's orbit: its images under the elements."""
+        perms = [self.maps[h].edge_perm for h in self.elements]
+        return {e: frozenset(p[e] for p in perms) for e in perms[0]}
 
     def fixed_faces(self) -> List[int]:
         ids = None
@@ -714,27 +697,33 @@ def _face_perm_from_sides(model, face_list, side_to_face, edge_perm) -> Optional
 def symmetry_actions(
     model: DimerModel, elements: Iterable[Mat2]
 ) -> Iterator[SymmetryAction]:
-    """Yield every affine realization of the group on the model.
+    """Yield every affine action of the group on the model.
 
     The search runs in the integer frame.  A generator's candidate
     translations take the first node onto each node of the required
     color; each is tested on its own, at most once per call, with one
     node, edge and face map.  A translation that fails for its generator
-    is part of no action.  Every other element h = e g, read off its
-    _generating_words word, is composed from e and the generator g: its
-    permutations are perm_e o perm_g and its translation is
-    frac(linear_e t_g + t_e).  The cost is one map per (generator,
-    candidate) plus one composition per (action, element).  Actions are
-    yielded in lexicographic order of the generators' translations, each
-    list sorted.  The identity's map is computed once per call.
-    Distinct assignments can be genuinely different actions (fixing a
-    face, a node, or nothing)."""
+    is part of no action.  For one passing translation per generator,
+    every other element h = e g, read off its _generating_words word,
+    gets the translation t_h = frac(linear_e t_g + t_e).  The choice is
+    dropped unless that law holds for every element e and generator g:
+    else some relation of the group acts as a nonzero torus translation
+    and the maps are no group action.  Only then are the permutations
+    composed, perm_e o perm_g.  The cost is one map per (generator,
+    candidate), a few int operations per (choice, element, generator)
+    and one composition per (action, element).  Actions are yielded in
+    lexicographic order of the generators' translations, each list
+    sorted.  The identity's map is computed once per call.  Distinct
+    actions can fix a face, a node, or nothing."""
     elems = tuple(sorted(set(elements)))
     ident = Mat2.identity()
     if ident not in elems:
         raise ValueError("element list must contain the identity")
     gens, words = _generating_words(elems)
     lin = {h: h.contragredient() for h in elems}
+    relations = [(e, g, e.mul(g)) for e in elems for g in gens]
+    if any(eg not in lin for _, _, eg in relations):
+        raise ValueError("elements do not form a group")
     face_list = faces(model)
     frame = _integer_frame(model)
     scale = frame[0]
@@ -742,9 +731,9 @@ def symmetry_actions(
     edge_index = {(e.white, e.black, e.offset): e.id for e in model.edges}
     side_to_face = {side: f.id for f in face_list for side in f.boundary}
 
-    def action(h: Mat2, t: Vec, node_perm, edge_perm, face_perm):
+    def action(h: Mat2, t: Vec, node_perm, edge_perm, face_perm) -> ElementAction:
         translation = (Fraction(t[0], scale), Fraction(t[1], scale))
-        return t, ElementAction(h, lin[h], translation, node_perm, edge_perm, face_perm)
+        return ElementAction(h, lin[h], translation, node_perm, edge_perm, face_perm)
 
     def realize(h: Mat2, t: Vec):
         res = _element_map(model, h, lin[h], t, frame, pos_index, edge_index)
@@ -753,7 +742,7 @@ def symmetry_actions(
         face_perm = _face_perm_from_sides(model, face_list, side_to_face, res[1])
         if face_perm is None:
             return None
-        return action(h, t, res[0], res[1], face_perm)
+        return t, action(h, t, res[0], res[1], face_perm)
 
     identity = realize(ident, (0, 0))
     if identity is None:
@@ -779,24 +768,34 @@ def symmetry_actions(
         if len(words[h]) > 1
     ]
 
-    def compose(choice) -> SymmetryAction:
-        built = {ident: identity, **dict(zip(gens, choice))}
+    def compose(choice) -> Optional[SymmetryAction]:
+        shift = {ident: identity[0], **{g: t for g, (t, _) in zip(gens, choice)}}
+
+        def law(e: Mat2, g: Mat2) -> Vec:
+            x, y = lin[e].apply(shift[g])
+            return (x + shift[e][0]) % scale, (y + shift[e][1]) % scale
+
         for h, e, gi in steps:
-            te, ae = built[e]
-            tg, ag = choice[gi]
-            x, y = ae.linear.apply(tg)
+            shift[h] = law(e, gens[gi])
+        if any(shift[eg] != law(e, g) for e, g, eg in relations):
+            return None
+        built = {ident: identity[1], **{g: a for g, (_, a) in zip(gens, choice)}}
+        for h, e, gi in steps:
+            ae, ag = built[e], choice[gi][1]
             built[h] = action(
                 h,
-                ((x + te[0]) % scale, (y + te[1]) % scale),
+                shift[h],
                 {k: ae.node_perm[v] for k, v in ag.node_perm.items()},
                 {k: ae.edge_perm[v] for k, v in ag.edge_perm.items()},
                 {k: ae.face_perm[v] for k, v in ag.face_perm.items()},
             )
-        return SymmetryAction(elements=elems, maps={h: built[h][1] for h in elems})
+        return SymmetryAction(elements=elems, maps={h: built[h] for h in elems})
 
     def search(i: int, choice: List[Tuple[Vec, ElementAction]]) -> Iterator[SymmetryAction]:
         if i == len(gens):
-            yield compose(choice)
+            composed = compose(choice)
+            if composed is not None:
+                yield composed
             return
         for chosen in passing(i):
             yield from search(i + 1, choice + [chosen])
@@ -804,21 +803,16 @@ def symmetry_actions(
     yield from search(0, [])
 
 
-def find_symmetry(
-    model: DimerModel,
-    elements: Iterable[Mat2],
-    require_fixed_face: bool = False,
-) -> SymmetryAction:
-    """First affine realization of the group on the model.
-
-    With require_fixed_face the search continues until some realization
-    fixes a face.  Raises NotSymmetricError when the group does not act
-    and NoFixedFaceError when it acts but never fixes a face."""
-    acts = False
+def find_symmetry(model: DimerModel, elements: Iterable[Mat2]) -> SymmetryAction:
+    """The group's action on the model: the first action of
+    symmetry_actions that fixes a face, else the first action.  Raises
+    NotSymmetricError when the group does not act."""
+    first = None
     for act in symmetry_actions(model, elements):
-        acts = True
-        if not require_fixed_face or act.fixed_faces():
+        if act.fixed_faces():
             return act
-    if acts:
-        raise NoFixedFaceError("group acts on the model but fixes no face")
-    raise NotSymmetricError("no affine action of the group preserves the model")
+        if first is None:
+            first = act
+    if first is None:
+        raise NotSymmetricError("no affine action of the group preserves the model")
+    return first

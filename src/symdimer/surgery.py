@@ -16,7 +16,6 @@ import math
 from fractions import Fraction
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -424,21 +423,6 @@ def _try_cut(
     return cut
 
 
-def _distinct_edge_orbits(
-    model: DimerModel, group: Sequence[Mat2]
-) -> Iterator[Dict[int, FrozenSet[int]]]:
-    """The edge orbits of each action of the group on the model, in
-    symmetry_actions order, skipping an action whose orbit partition
-    repeats an earlier one's: it would give the same deleted edge sets."""
-    seen = set()
-    for action in symmetry_actions(model, group):
-        orbits = action.edge_orbits()
-        partition = frozenset(orbits.values())
-        if partition not in seen:
-            seen.add(partition)
-            yield orbits
-
-
 def corner_cuts(
     model: DimerModel,
     group: Sequence[Mat2],
@@ -518,7 +502,8 @@ def corner_cuts(
             if all(crossings):
                 seeds.append(set().union(*crossings))
     tried = set()
-    for orbits in _distinct_edge_orbits(model, mats):
+    for action in symmetry_actions(model, mats):
+        orbits = action.edge_orbits()
         for seed in seeds:
             doomed = frozenset().union(*(orbits[e] for e in seed))
             if len(doomed) != size or doomed in tried:

@@ -14,7 +14,7 @@ from symdimer.cli_io import (
     render_tikz,
 )
 from symdimer import cli_io, matchings
-from symdimer.construct import CATALOG, hexagonal_model
+from symdimer.construct import CATALOG, hexagonal_model, verify_bundle
 from symdimer.dimer import DimerModel, Edge, Node
 from symdimer.lattice import Mat2, canonical_group
 from symdimer.surgery import cover
@@ -86,6 +86,28 @@ def test_commands_refuse_a_non_unimodular_generator(tmp_path, capsys, command):
     assert code == 1
     assert out == ""
     assert "bad generators" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_collinear_polygon_corners_exit_one(tmp_path, capsys, command):
+    polygon = polygon_file(tmp_path, "p.json", [[0, 0], [1, 0], [2, 0]])
+    group = group_file(tmp_path, "g.json", [[[1, 0], [0, 1]]])
+    argv = {
+        "synthesize": [
+            "synthesize", "--polygon", polygon, "--group", group,
+            "--out", str(tmp_path / "out.json"),
+        ],
+        "verify": [
+            "verify", "--model", model_file(tmp_path, "m.json", hexagonal_model()),
+            "--polygon", polygon,
+        ],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "span no polygon" in err
     assert "Traceback" not in err
 
 
@@ -301,6 +323,21 @@ def test_quiver_twist_requires_group_metadata(tmp_path, capsys):
     assert "metadata" in err
 
 
+def test_a_glide_reflection_is_no_group_action(tmp_path, capsys):
+    """On the 2x2 cover of the square model the reflection (x, y) ->
+    (x, -y) maps the model to itself only with a half-period shift along
+    its mirror, and such a map squares to a translation, not to the
+    identity."""
+    model = cover(CATALOG["square"](), Mat2(2, 0, 0, 2))
+    gens = [list(g.rows()) for g in canonical_group("R1") if g != Mat2.identity()]
+    assert verify_bundle(model, action=canonical_group("R1")).symmetric is False
+    path = model_file(tmp_path, "glide.json", model, {"generators": gens})
+    code, out, err = run(capsys, ["quiver", "--model", path, "--twist"])
+    assert code == 1
+    assert out == ""
+    assert "does not act" in err
+
+
 def without_edge_0(model):
     return DimerModel(list(model.nodes), [e for e in model.edges if e.id != 0])
 
@@ -384,6 +421,16 @@ def test_matchings_cap_exceeded(tmp_path, capsys):
     code, _, err = run(capsys, ["matchings", "--model", path, "--cap", "1"])
     assert code == 6
     assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_matchings_refuses_a_cap_below_one(tmp_path, capsys, cap):
+    path = model_file(tmp_path, "sq.json", CATALOG["square"]())
+    code, out, err = run(capsys, ["matchings", "--model", path, "--cap", cap])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_matchings_output_is_deterministic(tmp_path, capsys):

@@ -394,10 +394,29 @@ def test_symmetry_composition_law():
                 assert act.maps[gh].translation == want, (mk.__name__, tag, g, h)
 
 
+def obeys_composition_law(act):
+    """Whether the maps of every pair of elements g, h compose to the map
+    of g h: node, edge and face permutations, and translations through
+    the linear parts modulo Z^2."""
+    for g in act.elements:
+        for h in act.elements:
+            ag, ah, agh = act.maps[g], act.maps[h], act.maps[g.mul(h)]
+            for kind in ("node_perm", "edge_perm", "face_perm"):
+                pg, ph, pgh = (getattr(a, kind) for a in (ag, ah, agh))
+                if any(pg[ph[k]] != pgh[k] for k in ph):
+                    return False
+            step = ag.linear.apply(ah.translation)
+            want = ((step[0] + ag.translation[0]) % 1, (step[1] + ag.translation[1]) % 1)
+            if agh.translation != want:
+                return False
+    return True
+
+
 def product_symmetry_actions(model, elements):
     """Reference search: the product over generators of one candidate
-    translation per node of a color, and for every combination a Fraction
-    node, edge and face map of every group element."""
+    translation per node of a color, for every combination a Fraction
+    node, edge and face map of every group element, kept when the maps
+    obey the composition law."""
     elems = tuple(sorted(set(elements)))
     gens, words = _generating_words(elems)
     lin = {h: h.contragredient() for h in elems}
@@ -464,7 +483,9 @@ def product_symmetry_actions(model, elements):
                 break
             maps[h] = ElementAction(h, lin[h], t, res[0], res[1], face_perm)
         else:
-            yield SymmetryAction(elements=elems, maps=maps)
+            act = SymmetryAction(elements=elems, maps=maps)
+            if obeys_composition_law(act):
+                yield act
 
 
 def action_record(act):
@@ -503,6 +524,16 @@ def test_symmetry_search_agrees_with_the_product_search():
     assert acting and silent and yielded > acting
 
 
+def test_every_yielded_action_is_a_group_action():
+    yielded = 0
+    for label, model in symmetry_search_cases():
+        for tag in GROUP_TAGS:
+            for act in symmetry_actions(model, canonical_group(tag)):
+                assert obeys_composition_law(act), (label, tag)
+                yielded += 1
+    assert yielded > 100
+
+
 def test_sixfold_rotation_advances_rings():
     m = dodecagon_model()
     gen = Mat2.from_rows([[1, -1], [1, 0]])
@@ -529,10 +560,9 @@ def test_fixed_face_selection():
     act = find_symmetry(octagon_model(), canonical_group("D8"))
     assert fixed_face(act) == 1
     act2 = find_symmetry(square_model(), canonical_group("C4"))
+    assert act2.fixed_faces() == []
     with pytest.raises(NoFixedFaceError):
         fixed_face(act2)
-    with pytest.raises(NoFixedFaceError):
-        find_symmetry(square_model(), canonical_group("C4"), require_fixed_face=True)
 
 
 def test_apply_isometry_unknown_element():

@@ -121,7 +121,7 @@ def test_identity_acts_trivially():
 
 def test_rotation_acts_with_order_four_and_fixes_the_fixed_face():
     model = octagon_model()
-    act = find_symmetry(model, canonical_group("C4"), require_fixed_face=True)
+    act = find_symmetry(model, canonical_group("C4"))
     qa = action_on_quiver(model, act)
     v0 = fixed_face(act)
     gen = Mat2.from_rows(((0, -1), (1, 0)))
@@ -145,7 +145,7 @@ def test_reflection_exchanges_the_two_arrow_families():
 def test_relations_are_equivariant_under_the_full_dihedral_action():
     model = octagon_model()
     q = quiver_of(model)
-    act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
+    act = find_symmetry(model, canonical_group("D8"))
     qa = action_on_quiver(model, act)
     assert len(qa) == 8
     for h, a in qa.items():
@@ -160,7 +160,7 @@ def test_relations_are_equivariant_under_the_full_dihedral_action():
 
 def test_twisted_action_flips_signs_exactly_on_the_matching():
     model = octagon_model()
-    act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
+    act = find_symmetry(model, canonical_group("D8"))
     d0 = invariant_matching_at_origin(model, act)
     sam = twisted_action(model, act, d0)
     assert sam.ok
@@ -176,7 +176,7 @@ def test_twisted_action_flips_signs_exactly_on_the_matching():
 def test_twisted_action_certificate_balances_path_signs():
     model = octagon_model()
     q = quiver_of(model)
-    act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
+    act = find_symmetry(model, canonical_group("D8"))
     d0 = invariant_matching_at_origin(model, act)
     sam = twisted_action(model, act, d0)
     for h in act.elements:
@@ -186,7 +186,7 @@ def test_twisted_action_certificate_balances_path_signs():
 
 def test_twisted_action_rejects_a_moved_matching():
     model = octagon_model()
-    act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
+    act = find_symmetry(model, canonical_group("D8"))
     d0 = invariant_matching_at_origin(model, act)
     moved = next(
         m
@@ -219,7 +219,7 @@ def test_theta_on_a_single_vertex_quiver_is_zero():
 def test_theta_checks_invariance_under_supplied_permutations():
     model = octagon_model()
     q = quiver_of(model)
-    act = find_symmetry(model, canonical_group("D8"), require_fixed_face=True)
+    act = find_symmetry(model, canonical_group("D8"))
     qa = action_on_quiver(model, act)
     perms = [a.vertex_perm for a in qa.values()]
     v0 = fixed_face(act)
@@ -241,7 +241,8 @@ def test_quiver_action_survives_a_cover():
     q = quiver_of(model)
     assert len(q.vertices) == 8
     assert len(q.arrows) == 16
-    act = find_symmetry(model, canonical_group("R1"))
+    act = find_symmetry(model, canonical_group("R2"))
+    assert act.fixed_faces() == [1, 2, 4, 7]
     qa = action_on_quiver(model, act)
-    refl = Mat2.from_rows(((1, 0), (0, -1)))
+    refl = Mat2.from_rows(((0, 1), (1, 0)))
     assert relations_equivariant(q, qa[refl])

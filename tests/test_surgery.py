@@ -443,20 +443,6 @@ def test_budget_counts_edges_handled(reembed_calls):
     assert budget.spent == spent + len(m.edges)
 
 
-def test_distinct_edge_orbits_cover_every_action():
-    """D4_2 on a 2x2 square cover: each edge-orbit partition of an
-    action comes once, in order of first appearance."""
-    m = centered_square_cover()
-    group = canonical_group("D4_2")
-    every = [
-        frozenset(a.edge_orbits().values())
-        for a in symmetry_actions(m, group)
-    ]
-    once = [frozenset(o.values()) for o in surgery._distinct_edge_orbits(m, group)]
-    assert len(once) < len(every)
-    assert once == list(dict.fromkeys(every))
-
-
 def test_corner_cuts_yield_each_outcome_once():
     m = centered_square_cover()
     group = canonical_group("C2")
@@ -498,7 +484,7 @@ def test_cut_with_two_legs_at_mirror_corners():
     assert validate(cut).ok
     assert check_consistency(cut).consistent
     assert exact_invariant_frame(poly_of(cut), group) == target
-    assert find_symmetry(cut, group, require_fixed_face=True) is not None
+    assert find_symmetry(cut, group).fixed_faces()
 
 
 def test_accept_runs_on_every_repeated_cut():
