@@ -34,7 +34,7 @@ from .dimer import (
     SymmetryAction,
     find_symmetry,
     fixed_face,
-    frac_pt,
+    place,
     validate,
 )
 from .lattice import (
@@ -232,33 +232,25 @@ def transform_model(model: DimerModel, linear: Mat2) -> DimerModel:
     det = linear.det()
     if det not in (1, -1):
         raise ValueError("marking change must be unimodular")
-    whole: Dict[int, Vec] = {}
     nodes = []
     for n in model.nodes:
-        img = linear.apply(n.pos)
-        pos = frac_pt(img)
-        whole[n.id] = (int(img[0] - pos[0]), int(img[1] - pos[1]))
         color = n.color if det == 1 else (BLACK if n.color == WHITE else WHITE)
-        nodes.append(Node(id=n.id, color=color, pos=pos))
+        nodes.append((n.id, color, linear.apply(n.pos)))
     edges = []
     for e in model.edges:
+        w, b = (e.white, e.black) if det == 1 else (e.black, e.white)
         lo = linear.apply(e.offset)
-        kw, kb = whole[e.white], whole[e.black]
-        if det == 1:
-            off = (lo[0] + kb[0] - kw[0], lo[1] + kb[1] - kw[1])
-            edges.append(Edge(id=e.id, white=e.white, black=e.black, offset=off))
-        else:
-            off = (kw[0] - kb[0] - lo[0], kw[1] - kb[1] - lo[1])
-            edges.append(Edge(id=e.id, white=e.black, black=e.white, offset=off))
-    return DimerModel(nodes, edges)
+        edges.append(Edge(id=e.id, white=w, black=b, offset=(det * lo[0], det * lo[1])))
+    return place(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
 # Planning
 
-# Work budget of one synthesize call, in the edge units of surgery.Budget:
-# about 13 s of CPU on a 2-vCPU VM.  The costliest polygon known to build,
-# the D6_2 hexagon (-4,-3),(-3,-4),(3,-1),(4,1),(1,4),(-1,3), takes 65 686.
+# Work budget of one synthesize call, in the edge units of surgery.Budget.
+# The costliest polygon known to build, the D6_2 hexagon (-5,-2),(-2,-5),
+# (2,-3),(5,3),(3,5),(-3,2), takes 3 409 (1 s of CPU on a 2-vCPU VM); no
+# known polygon ends on the budget, so none is left to size it against.
 BUDGET = 75_000
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,12 +56,8 @@ class UnknownElementError(Exception):
     """Element is not part of the stored action."""
 
 
-def frac(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 def frac_pt(p) -> Pt:
-    return (frac(Fraction(p[0])), frac(Fraction(p[1])))
+    return (Fraction(p[0]) - floor(p[0]), Fraction(p[1]) - floor(p[1]))
 
 
 @dataclass(frozen=True)
@@ -148,6 +144,25 @@ class DimerModel:
 
     def __repr__(self) -> str:
         return f"DimerModel({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+def place(nodes: Iterable[Tuple[int, str, Pt]], edges: Iterable[Edge]) -> DimerModel:
+    """The model of nodes given as (id, color, lift), with any rational
+    lift, and edges whose offsets are relative to those lifts: each lift
+    is reduced to [0,1)^2 and its integer part moves into its edges'
+    offsets, o + floor(black) - floor(white).  The one place where lifts
+    are reduced."""
+    whole: Dict[int, Vec] = {}
+    reduced = []
+    for nid, color, lift in nodes:
+        whole[nid] = (floor(lift[0]), floor(lift[1]))
+        reduced.append(Node(id=nid, color=color, pos=frac_pt(lift)))
+    moved = []
+    for e in edges:
+        kw, kb = whole[e.white], whole[e.black]
+        off = (e.offset[0] + kb[0] - kw[0], e.offset[1] + kb[1] - kw[1])
+        moved.append(Edge(id=e.id, white=e.white, black=e.black, offset=off))
+    return DimerModel(reduced, moved)
 
 
 def edge_segment(model: DimerModel, e: Edge) -> Tuple[Pt, Pt]:

@@ -131,7 +131,7 @@ def characteristic_polygon(model: DimerModel) -> Tuple[Vec, ...]:
     there is no perfect matching, DegenerateError if the heights span no
     polygon."""
     points = {
-        height_change(model, support(model, (), u)[1], ())
+        height_change(model, support(model, u)[1], ())
         for u in ((1, 0), (0, 1), (-1, 0), (0, -1))
     }
     settled = set()
@@ -146,7 +146,7 @@ def characteristic_polygon(model: DimerModel) -> Tuple[Vec, ...]:
             if (a, b) in settled:
                 continue
             n = (b[1] - a[1], a[0] - b[0])
-            value, m = support(model, (), n)
+            value, m = support(model, n)
             if value > n[0] * a[0] + n[1] * a[1]:
                 points.add(height_change(model, m, ()))
                 grown = True
@@ -338,12 +338,10 @@ def max_weight_perfect_matching(
     return tuple(sorted(out))
 
 
-def support(
-    model: DimerModel, reference: Matching, direction: Vec
-) -> Tuple[int, Matching]:
-    """Maximum of <ht(D, reference), direction> over all matchings D,
-    together with a matching attaining it.  reference=() gives the
-    absolute height ht(D).  ValueError if there is no perfect matching."""
+def support(model: DimerModel, direction: Vec) -> Tuple[int, Matching]:
+    """Maximum of <ht(D), direction> over all matchings D, with ht(D) the
+    absolute height, together with a matching attaining it.  ValueError
+    if there is no perfect matching."""
     ux, uy = direction
     weights = {
         e.id: e.offset[0] * uy - e.offset[1] * ux for e in model.edges
@@ -351,6 +349,5 @@ def support(
     m = max_weight_perfect_matching(model, weights)
     if m is None:
         raise ValueError("model has no perfect matching")
-    value = sum(weights[e] for e in m) - sum(weights[e] for e in reference)
-    return value, m
+    return sum(weights[e] for e in m), m
 

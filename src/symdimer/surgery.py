@@ -29,8 +29,7 @@ from .dimer import (
     DimerModel,
     Edge,
     MergeLoopError,
-    Node,
-    frac_pt,
+    place,
     remove_divalent,
     symmetry_actions,
     validate,
@@ -148,19 +147,11 @@ def cover(model: DimerModel, s: Mat2) -> DimerModel:
     k = len(reps)
     index = {r: i for i, r in enumerate(reps)}
     inv = _rational_inverse(s)
-
-    # Exact position and its integer part for each (node, coset) pair.
-    pos: Dict[Tuple[int, int], Tuple[Fraction, Fraction]] = {}
-    whole: Dict[Tuple[int, int], Vec] = {}
     nodes = []
     for n in model.nodes:
         for ci, r in enumerate(reps):
-            raw = _apply_rational(inv, (n.pos[0] + r[0], n.pos[1] + r[1]))
-            m = (math.floor(raw[0]), math.floor(raw[1]))
-            p = (raw[0] - m[0], raw[1] - m[1])
-            pos[(n.id, ci)] = p
-            whole[(n.id, ci)] = m
-            nodes.append(Node(id=n.id * k + ci, color=n.color, pos=p))
+            lift = _apply_rational(inv, (n.pos[0] + r[0], n.pos[1] + r[1]))
+            nodes.append((n.id * k + ci, n.color, lift))
 
     edges = []
     for e in model.edges:
@@ -172,19 +163,15 @@ def cover(model: DimerModel, s: Mat2) -> DimerModel:
                 inv, (target[0] - r2[0], target[1] - r2[1])
             )
             assert jump[0].denominator == 1 and jump[1].denominator == 1
-            off = (
-                int(jump[0]) + whole[(e.black, ci2)][0] - whole[(e.white, ci)][0],
-                int(jump[1]) + whole[(e.black, ci2)][1] - whole[(e.white, ci)][1],
-            )
             edges.append(
                 Edge(
                     id=e.id * k + ci,
                     white=e.white * k + ci,
                     black=e.black * k + ci2,
-                    offset=off,
+                    offset=(int(jump[0]), int(jump[1])),
                 )
             )
-    return DimerModel(nodes, edges)
+    return place(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +228,11 @@ def reembed(model: DimerModel) -> DimerModel:
     piv*r_j - r_j[p]*r_p, and is divided by the gcd of its entries and
     its right-hand side.  The multiplier r_j[p] is read from row j
     itself: scaled rows are no longer symmetric.  Back-substitution runs
-    in `Fraction`s, then the pin is added back.  Each integer row is a
-    positive multiple of the row a `Fraction` elimination would hold, so
-    the pivot order, the singular pivots and the solution are the same.
+    in `Fraction`s, then the pin is added back and `place` reduces the
+    lifts, so the result is harmonic with respect to its own offsets.
+    Each integer row is a positive multiple of the row a `Fraction`
+    elimination would hold, so the pivot order, the singular pivots and
+    the solution are the same.
 
     The solution is the unique harmonic embedding with that pin;
     symmetric models stay symmetric because affine torus maps preserve
@@ -311,16 +300,12 @@ def reembed(model: DimerModel) -> DimerModel:
             y -= v * disp[k][1]
         disp[p] = (Fraction(x) / piv, Fraction(y) / piv)
     pin = model.node(ids[0]).pos
-    nodes = [
-        Node(
-            id=nid,
-            color=model.node(nid).color,
-            pos=frac_pt((pin[0] + disp[i][0], pin[1] + disp[i][1])),
-        )
+    lifts = [
+        (nid, model.node(nid).color, (pin[0] + disp[i][0], pin[1] + disp[i][1]))
         for i, nid in enumerate(ids)
     ]
     try:
-        return DimerModel(nodes, model.edges)
+        return place(lifts, model.edges)
     except ValueError as exc:
         raise EmbeddingFailedError(str(exc)) from None
 

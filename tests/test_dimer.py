@@ -38,7 +38,7 @@ from symdimer.dimer import (
     validate,
 )
 from symdimer.lattice import GROUP_TAGS, Mat2, canonical_group
-from symdimer.surgery import EmbeddingFailedError, cover, reembed
+from symdimer.surgery import cover
 from symdimer.zigzag import zigzag_paths
 
 F = Fraction
@@ -306,10 +306,25 @@ def catalog_covers():
                         yield (mk.__name__, (a, b, d)), cover(model, Mat2(a, b, 0, d))
 
 
+def _swap_first_pair(model):
+    """The model with the positions of its first node and the next node of
+    the same colour exchanged, or None when that colour has one node."""
+    first = model.nodes[0]
+    other = next((n for n in model.nodes[1:] if n.color == first.color), None)
+    if other is None:
+        return None
+    swap = {first.id: other.pos, other.id: first.pos}
+    return DimerModel(
+        [Node(n.id, n.color, swap.get(n.id, n.pos)) for n in model.nodes],
+        model.edges,
+    )
+
+
 def test_binned_and_incremental_agree_with_the_references():
     """On the catalog covers and on every deletion of the shared edges of
     two zigzag paths: before the merge (divalent nodes left in), after
-    it (old positions kept) and re-embedded (often with crossings)."""
+    it (old positions kept) and with two nodes of one colour swapped
+    (often with crossings)."""
     compared = crossing = merged = loops = 0
     for _label, model in catalog_covers():
         assert _crossing_pairs(model) == all_pairs_crossing_pairs(model) == []
@@ -326,10 +341,9 @@ def test_binned_and_incremental_agree_with_the_references():
             checked = [cut]
             if not isinstance(got, str):
                 checked.append(DimerModel(*got))
-                try:
-                    checked.append(reembed(checked[-1]))
-                except EmbeddingFailedError:
-                    pass
+                swapped = _swap_first_pair(checked[-1])
+                if swapped is not None:
+                    checked.append(swapped)
             for m in checked:
                 pairs = _crossing_pairs(m)
                 assert pairs == all_pairs_crossing_pairs(m)

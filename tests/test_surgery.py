@@ -1,6 +1,7 @@
 """Covers, edge deletion, re-embedding, and verified corner chops."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from symdimer.dimer import (
     MergeLoopError,
     Node,
     find_symmetry,
-    frac_pt,
     symmetry_actions,
     validate,
 )
@@ -210,21 +210,64 @@ def dense_reembed(model):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    # Each solved position is a lift; its integer part moves into the
+    # offsets of the node's edges, so every segment keeps its shape.
+    whole = {
+        nid: (math.floor(m[i][n]), math.floor(m[i][n + 1]))
+        for i, nid in enumerate(ids)
+    }
     nodes = [
-        Node(id=nid, color=model.node(nid).color, pos=frac_pt((m[i][n], m[i][n + 1])))
+        Node(
+            id=nid,
+            color=model.node(nid).color,
+            pos=(m[i][n] - whole[nid][0], m[i][n + 1] - whole[nid][1]),
+        )
         for i, nid in enumerate(ids)
     ]
+    edges = [
+        Edge(
+            e.id,
+            e.white,
+            e.black,
+            (
+                e.offset[0] + whole[e.black][0] - whole[e.white][0],
+                e.offset[1] + whole[e.black][1] - whole[e.white][1],
+            ),
+        )
+        for e in model.edges
+    ]
     try:
-        return DimerModel(nodes, model.edges)
+        return DimerModel(nodes, edges)
     except ValueError as exc:
         raise EmbeddingFailedError(str(exc)) from None
 
 
 def _outcome(embed, model):
     try:
-        return embed(model).nodes
+        out = embed(model)
     except EmbeddingFailedError as exc:
         return type(exc), str(exc)
+    return out.nodes, out.edges
+
+
+def assert_harmonic(model):
+    """Every node sits at the mean of its neighbours' ends, each end placed
+    by the offset of the edge that reaches it."""
+    for n in model.nodes:
+        ends = []
+        for eid in model.edges_at(n.id):
+            e = model.edge(eid)
+            if e.white == n.id:
+                b = model.node(e.black).pos
+                ends.append((b[0] + e.offset[0], b[1] + e.offset[1]))
+            else:
+                w = model.node(e.white).pos
+                ends.append((w[0] - e.offset[0], w[1] - e.offset[1]))
+        mean = (
+            sum(x for x, _ in ends) / len(ends),
+            sum(y for _, y in ends) / len(ends),
+        )
+        assert mean == n.pos, n.id
 
 
 CATALOG = [hexagonal_model, square_model, octagon_model, dodecagon_model]
@@ -262,6 +305,23 @@ def test_reembed_matches_dense_solve_on_crossing_cuts(make):
     assert cands
     for cut in cands:
         assert _outcome(reembed, cut) == _outcome(dense_reembed, cut)
+
+
+@pytest.mark.parametrize("make", CATALOG)
+def test_reembed_output_is_harmonic_with_its_offsets(make):
+    base = make()
+    cands = _crossing_candidates(base) + _crossing_candidates(
+        cover(base, mat(2, 0, 0, 1))
+    )
+    embedded = 0
+    for cut in cands:
+        try:
+            out = reembed(cut)
+        except EmbeddingFailedError:
+            continue
+        assert_harmonic(out)
+        embedded += 1
+    assert embedded
 
 
 def _disjoint_hexagonal_pair():
