@@ -381,19 +381,6 @@ def _generate(gens: List[Mat2]) -> Tuple[Mat2, ...]:
         raise _CommandExit(EXIT_MALFORMED, f"bad generators: {exc}") from exc
 
 
-def _first_failure(report: Report) -> str:
-    for name, flag in (
-        ("valid_dimer", report.valid_dimer),
-        ("consistent", report.consistent),
-        ("char_matches_zigzag", report.char_matches_zigzag),
-        ("symmetric", report.symmetric),
-        ("polygon_match", report.polygon_match),
-    ):
-        if flag is False:
-            return name
-    return "ok"
-
-
 def cmd_classify_group(args) -> int:
     cls = classify_group(_generate(group_from_doc(_load_json(args.infile))))
     doc = {
@@ -423,7 +410,7 @@ def cmd_synthesize(args) -> int:
     report = verify_bundle(sd.model, action=sd.action, polygon=sd.polygon)
     if not report.ok:
         print(
-            f"synthesized model failed verification: {_first_failure(report)}",
+            f"synthesized model failed verification: {report.first_failure}",
             file=sys.stderr,
         )
         return EXIT_VERIFY_FAILED
@@ -462,7 +449,7 @@ def cmd_verify(args) -> int:
     report = verify_bundle(model, action=action, polygon=polygon)
     sys.stdout.write(emit_json(_report_doc(report)))
     if not report.ok:
-        print(f"first failing check: {_first_failure(report)}", file=sys.stderr)
+        print(f"first failing check: {report.first_failure}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

@@ -45,7 +45,7 @@ from .lattice import (
     apply_matrix_to_polygon,
     classify_generators,
     convex_hull,
-    corner_chop_admissible,
+    corner_cut_admissible,
     exact_invariant_frame,
     generate_group,
     lattice_points,
@@ -421,7 +421,7 @@ def _envelopes_above(
         if (
             p in env
             and set(lattice_points(env)) == inside.union(orb)
-            and corner_chop_admissible(env, group, p)
+            and corner_cut_admissible(env, group, p)
             and remove_corner_orbit(env, group, p) == poly
         ):
             grown.append((env, p, 1))
@@ -433,7 +433,7 @@ def _envelopes_above(
         if (
             p in env
             and polygon_area2(env) == area + len(orb) * t * t
-            and corner_chop_admissible(env, group, p)
+            and corner_cut_admissible(env, group, p)
         ):
             grown.append((env, p, t))
     out: Dict[Tuple[Vec, ...], Tuple[Vec, int]] = {}
@@ -617,13 +617,21 @@ class Report:
     notes: List[str]
 
     @property
+    def first_failure(self) -> str:
+        """Name of the first failing check, in a fixed order, or "ok".
+        The first two checks must pass; the others fail only if they ran."""
+        checks = (
+            ("valid_dimer", bool(self.valid_dimer)),
+            ("consistent", bool(self.consistent)),
+            ("char_matches_zigzag", self.char_matches_zigzag),
+            ("symmetric", self.symmetric),
+            ("polygon_match", self.polygon_match),
+        )
+        return next((name for name, flag in checks if flag is False), "ok")
+
+    @property
     def ok(self) -> bool:
-        if not self.valid_dimer or not self.consistent:
-            return False
-        for flag in (self.char_matches_zigzag, self.symmetric, self.polygon_match):
-            if flag is False:
-                return False
-        return True
+        return self.first_failure == "ok"
 
 
 def verify_bundle(

@@ -243,29 +243,40 @@ def next_face_side(
     return (f, 1 if head_color == WHITE else -1)
 
 
+def _side_cycles(model: DimerModel, step) -> List[Tuple[Tuple[int, int], ...]]:
+    """The cycles of a permutation `step` of the directed edge sides.
+
+    Sides are ordered by edge id, the white-to-black side first; each
+    cycle is traced from the smallest side no earlier cycle holds, so it
+    starts at its own smallest side and the cycles come out in the order
+    of those sides.  A step that revisits a side other than its cycle's
+    start raises ValueError."""
+    used = set()
+    out: List[Tuple[Tuple[int, int], ...]] = []
+    for eid in sorted(e.id for e in model.edges):
+        for start in ((eid, 1), (eid, -1)):
+            if start in used:
+                continue
+            cycle = []
+            cur = start
+            while True:
+                cycle.append(cur)
+                used.add(cur)
+                cur = step(cur)
+                if cur == start:
+                    break
+                if cur in used:
+                    raise ValueError("side tracing revisited a side; rotation system broken")
+            out.append(tuple(cycle))
+    return out
+
+
 def faces(model: DimerModel, rot: Optional[Mapping[int, Tuple[int, ...]]] = None) -> List[Face]:
     """All faces, traced with the interior on the left of each side."""
     if rot is None:
         rot = rotation_system(model)
-    sides = [(e.id, 1) for e in model.edges] + [(e.id, -1) for e in model.edges]
-    sides.sort(key=lambda s: (s[0], 0 if s[1] == 1 else 1))
-    used = set()
-    out: List[Face] = []
-    for start in sides:
-        if start in used:
-            continue
-        boundary = []
-        cur = start
-        while True:
-            boundary.append(cur)
-            used.add(cur)
-            cur = next_face_side(model, rot, cur)
-            if cur == start:
-                break
-            if cur in used:
-                raise ValueError("face tracing revisited a side; rotation system broken")
-        out.append(Face(id=len(out), boundary=tuple(boundary)))
-    return out
+    cycles = _side_cycles(model, lambda side: next_face_side(model, rot, side))
+    return [Face(id=i, boundary=b) for i, b in enumerate(cycles)]
 
 
 def face_offset_sum(model: DimerModel, face: Face) -> Vec:

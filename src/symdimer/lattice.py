@@ -406,10 +406,6 @@ def primitive_side_segments(poly: Sequence[Vec]) -> List[Tuple[Vec, Vec]]:
     return segs
 
 
-def boundary_lattice_count(poly: Sequence[Vec]) -> int:
-    return len(primitive_side_segments(poly))
-
-
 def apply_matrix_to_polygon(m: Mat2, poly: Sequence[Vec]) -> Tuple[Vec, ...]:
     return convex_hull(m.apply(p) for p in poly)
 
@@ -426,12 +422,6 @@ def normalize_translation(poly: Sequence[Vec]) -> Tuple[Vec, ...]:
 
 def same_up_to_translation(p1: Sequence[Vec], p2: Sequence[Vec]) -> bool:
     return normalize_translation(p1) == normalize_translation(p2)
-
-
-def is_invariant(poly: Sequence[Vec], elements: Iterable[Mat2]) -> bool:
-    """Whether h(polygon) == polygon as a point set for every h."""
-    base = convex_hull(poly)
-    return all(apply_matrix_to_polygon(h, base) == base for h in elements)
 
 
 def orbit(elements: Iterable[Mat2], pt: Vec) -> Tuple[Vec, ...]:
@@ -451,7 +441,7 @@ def remove_corner_orbit(
     return convex_hull(remaining)
 
 
-def corner_chop_admissible(
+def corner_cut_admissible(
     poly: Sequence[Vec], elements: Iterable[Mat2], corner: Vec
 ) -> bool:
     """No group translate of the corner is joined to it by a primitive

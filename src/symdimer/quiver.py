@@ -7,17 +7,18 @@ adjacent white node and counterclockwise around the adjacent black node.
 Paths are stored as tuples of arrow ids in application order, so a path
 (a, b, c) starts at the source of a and ends at the target of c.
 
-A symmetric model induces vertex and arrow permutations per group
-element; orientation-reversing elements keep sources and targets but
-trade the two return paths of every relation.  The twisted action
-additionally flips the sign of arrows lying on a chosen invariant
-perfect matching.
+The group of a symmetric model acts on the quiver through the model's
+face and edge permutations; an orientation-reversing element keeps
+sources and targets but trades the two return paths of every relation.
+twisted_action gives that action on the arrows, with the sign det(h) on
+the arrows of a chosen invariant perfect matching.  Under the empty
+matching every sign is +1, and it is the plain action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .dimer import (
     WHITE,
@@ -61,46 +62,6 @@ class Quiver:
     relations: Tuple[Relation, ...]
     white_cycles: Dict[int, Tuple[int, ...]]  # node id -> arrow cycle
     black_cycles: Dict[int, Tuple[int, ...]]
-
-    def arrow(self, aid: int) -> Arrow:
-        for a in self.arrows:
-            if a.id == aid:
-                return a
-        raise KeyError(f"no arrow {aid}")
-
-    def source(self, aid: int) -> int:
-        return self.arrow(aid).source
-
-    def target(self, aid: int) -> int:
-        return self.arrow(aid).target
-
-    def relation(self, aid: int) -> Relation:
-        for r in self.relations:
-            if r.arrow == aid:
-                return r
-        raise KeyError(f"no relation for arrow {aid}")
-
-    def is_path(self, path: Tuple[int, ...]) -> bool:
-        for prev, nxt in zip(path, path[1:]):
-            if self.target(prev) != self.source(nxt):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class StabilityParameter:
-    theta: Dict[int, int]
-
-    def __call__(self, vertex: int) -> int:
-        return self.theta[vertex]
-
-    def pairing(self, dimension: Dict[int, int]) -> int:
-        return sum(self.theta[v] * d for v, d in dimension.items())
-
-    @property
-    def total(self) -> int:
-        """Value on the dimension vector with a one at every vertex."""
-        return sum(self.theta.values())
 
 
 def _cycle_return_path(cycle: Tuple[int, ...], aid: int) -> Tuple[int, ...]:
@@ -164,72 +125,6 @@ def quiver_of(model: DimerModel) -> Quiver:
         white_cycles=white_cycles,
         black_cycles=black_cycles,
     )
-
-
-@dataclass(frozen=True)
-class QuiverAction:
-    """One group element on the dual quiver."""
-
-    element: Mat2
-    vertex_perm: Dict[int, int]
-    arrow_perm: Dict[int, int]
-    reverses_orientation: bool  # determinant -1
-
-
-def action_on_quiver(
-    model: DimerModel, action: SymmetryAction
-) -> Dict[Mat2, QuiverAction]:
-    """Vertex and arrow permutations induced by a symmetric model.
-
-    Face permutations become vertex permutations and edge permutations
-    become arrow permutations.  Every element carries sources to sources
-    and targets to targets: an orientation-reversing element flips both
-    the side each face sits on and the arrow direction, and the two
-    flips cancel.  What does change under determinant minus one is the
-    color of the adjacent nodes, so the white and black return paths
-    trade places.
-    """
-    quiver = quiver_of(model)
-    src = {a.id: a.source for a in quiver.arrows}
-    tgt = {a.id: a.target for a in quiver.arrows}
-    out: Dict[Mat2, QuiverAction] = {}
-    for h in action.elements:
-        vperm = dict(action.face_perm(h))
-        aperm = dict(action.edge_perm(h))
-        for aid, img in aperm.items():
-            if (src[img], tgt[img]) != (vperm[src[aid]], vperm[tgt[aid]]):
-                raise ValueError(
-                    f"element {h.rows()} does not act on the quiver"
-                )
-        out[h] = QuiverAction(
-            element=h,
-            vertex_perm=vperm,
-            arrow_perm=aperm,
-            reverses_orientation=h.det() == -1,
-        )
-    return out
-
-
-def map_path(qa: QuiverAction, path: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Image of a path, arrow by arrow in the same application order."""
-    return tuple(qa.arrow_perm[a] for a in path)
-
-
-def relations_equivariant(quiver: Quiver, qa: QuiverAction) -> bool:
-    """Whether the element sends every relation pair to a relation pair.
-
-    Orientation-preserving elements match plus with plus; reversing ones
-    exchange the white and black return paths.
-    """
-    for rel in quiver.relations:
-        img = quiver.relation(qa.arrow_perm[rel.arrow])
-        if qa.reverses_orientation:
-            want = (map_path(qa, rel.minus), map_path(qa, rel.plus))
-        else:
-            want = (map_path(qa, rel.plus), map_path(qa, rel.minus))
-        if (img.plus, img.minus) != want:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -300,29 +195,3 @@ def twisted_action(
         matching=tuple(sorted(matched)),
         certificate=certificate,
     )
-
-
-def v0_generated_theta(
-    quiver: Quiver,
-    v0: int,
-    vertex_perms: Optional[Iterable[Dict[int, int]]] = None,
-) -> StabilityParameter:
-    """Stability parameter positive away from v0 and zero on the total
-    dimension vector.
-
-    When vertex permutations are supplied (for instance from
-    action_on_quiver with the fixed face as v0), the parameter is
-    checked to be invariant under each of them.
-    """
-    if v0 not in quiver.vertices:
-        raise ValueError(f"vertex {v0} is not in the quiver")
-    theta = {v: 1 for v in quiver.vertices}
-    theta[v0] = -(len(quiver.vertices) - 1)
-    param = StabilityParameter(theta=theta)
-    if vertex_perms is not None:
-        for perm in vertex_perms:
-            if any(theta[perm[v]] != theta[v] for v in quiver.vertices):
-                raise ValueError(
-                    "stability parameter is not invariant under the action"
-                )
-    return param

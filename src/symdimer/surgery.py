@@ -1,13 +1,17 @@
-"""Covers, edge deletion, re-embedding, and symmetric corner chops.
+"""Covers, edge deletion, re-embedding, and symmetric corner cuts.
 
-A corner chop deletes the edges where zigzag paths of the corner's two
+A cover lists the cosets of its deck lattice and the coset jump of each
+lifted edge in ints; only the lifted node positions are rational.
+
+A corner cut deletes the edges where zigzag paths of the corner's two
 sides cross (one path of each side, or as many of each as the cut's
 legs are long), together with their whole edge orbit under the group,
 collapses the divalent nodes this leaves behind, and computes a fresh
 harmonic embedding.  Every candidate outcome is verified from scratch
 (geometry, consistency, zigzag polygon) before it is accepted, once per
 source model: the verdict is kept on the model, and a search may charge
-each decision to a work budget.
+each decision to a work budget.  corner_cuts yields the outcomes that
+verify in a fixed order; a caller that needs one takes the first.
 """
 
 import heapq
@@ -38,7 +42,7 @@ from .lattice import (
     DegenerateError,
     Mat2,
     convex_hull,
-    corner_chop_admissible,
+    corner_cut_admissible,
     exact_invariant_frame,
     normalize_translation,
     orbit,
@@ -81,53 +85,24 @@ class WholePolygonError(SurgeryError):
     """The requested cut would remove the whole polygon."""
 
 
-class SearchExhaustedError(SurgeryError):
-    """No symmetric crossing resolution realizes the corner chop."""
-
-
 # ---------------------------------------------------------------------------
 # Covers
 
 
-def _rational_inverse(s: Mat2):
-    det = Fraction(s.det())
-    if det == 0:
-        raise SingularBasisError("sublattice matrix is singular")
-    return (
-        (Fraction(s.d) / det, Fraction(-s.b) / det),
-        (Fraction(-s.c) / det, Fraction(s.a) / det),
-    )
-
-
-def _apply_rational(m, v):
-    return (
-        m[0][0] * v[0] + m[0][1] * v[1],
-        m[1][0] * v[0] + m[1][1] * v[1],
-    )
-
-
-def _coset_rep(s: Mat2, inv, v: Vec) -> Vec:
-    """v reduced modulo the columns of s: v - s*floor(s^{-1} v), where inv
-    is the rational inverse of s."""
-    w = _apply_rational(inv, v)
-    sf = s.apply((math.floor(w[0]), math.floor(w[1])))
-    return (v[0] - sf[0], v[1] - sf[1])
-
-
-def _coset_representatives(s: Mat2) -> List[Vec]:
+def _parallelogram_points(s: Mat2) -> List[Vec]:
     """Representatives of Z^2 modulo the sublattice spanned by the columns
-    of s, reduced with _coset_rep."""
-    k = abs(s.det())
-    inv = _rational_inverse(s)
-    seen = []
-    for a in range(k):
-        for b in range(k):
-            r = _coset_rep(s, inv, (a, b))
-            if r not in seen:
-                seen.append(r)
-    if len(seen) != k:
-        raise ValueError("coset enumeration failed")
-    return sorted(seen)
+    of s, in sorted order: the lattice points v of the parallelogram
+    s*[0,1)^2, that is with floor(adj(s) v / det s) = (0, 0)."""
+    k = s.det()
+    adj = Mat2(s.d, -s.b, -s.c, s.a)
+    xs = (0, s.a, s.b, s.a + s.b)
+    ys = (0, s.c, s.d, s.c + s.d)
+    return [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1)
+        for y in range(min(ys), max(ys) + 1)
+        if all(u // k == 0 for u in adj.apply((x, y)))
+    ]
 
 
 def cover(model: DimerModel, s: Mat2) -> DimerModel:
@@ -138,37 +113,37 @@ def cover(model: DimerModel, s: Mat2) -> DimerModel:
     determinant is first canonicalized by negating its second column,
     which spans the same sublattice.  The characteristic polygon of the
     result is the transpose of the (canonicalized) basis applied to the
-    original polygon."""
+    original polygon.  Coset jumps are floor(adj(s) v / det s) in ints;
+    only the lifts adj(s) (pos + r) / det s are rationals."""
     if s.det() == 0:
         raise SingularBasisError("sublattice matrix is singular")
     if s.det() < 0:
         s = Mat2.from_rows(((s.a, -s.b), (s.c, -s.d)))
-    reps = _coset_representatives(s)
-    k = len(reps)
+    k = s.det()
+    adj = Mat2(s.d, -s.b, -s.c, s.a)
+    reps = _parallelogram_points(s)
     index = {r: i for i, r in enumerate(reps)}
-    inv = _rational_inverse(s)
     nodes = []
     for n in model.nodes:
         for ci, r in enumerate(reps):
-            lift = _apply_rational(inv, (n.pos[0] + r[0], n.pos[1] + r[1]))
+            u = adj.apply((n.pos[0] + r[0], n.pos[1] + r[1]))
+            lift = (Fraction(u[0], k), Fraction(u[1], k))
             nodes.append((n.id * k + ci, n.color, lift))
 
     edges = []
     for e in model.edges:
         for ci, r in enumerate(reps):
             target = (r[0] + e.offset[0], r[1] + e.offset[1])
-            r2 = _coset_rep(s, inv, target)
-            ci2 = index[r2]
-            jump = _apply_rational(
-                inv, (target[0] - r2[0], target[1] - r2[1])
-            )
-            assert jump[0].denominator == 1 and jump[1].denominator == 1
+            u = adj.apply(target)
+            jump = (u[0] // k, u[1] // k)
+            back = s.apply(jump)
+            r2 = (target[0] - back[0], target[1] - back[1])
             edges.append(
                 Edge(
                     id=e.id * k + ci,
                     white=e.white * k + ci,
-                    black=e.black * k + ci2,
-                    offset=(int(jump[0]), int(jump[1])),
+                    black=e.black * k + index[r2],
+                    offset=jump,
                 )
             )
     return place(nodes, edges)
@@ -445,7 +420,7 @@ def corner_cuts(
     corner = (int(corner[0]), int(corner[1]))
     if corner not in frame:
         raise ValueError(f"{corner} is not a corner of {frame}")
-    if not corner_chop_admissible(frame, mats, corner):
+    if not corner_cut_admissible(frame, mats, corner):
         raise ValueError(
             f"corner {corner} is joined to an orbit translate by a "
             f"primitive boundary segment"
@@ -497,21 +472,3 @@ def corner_cuts(
             cut = _try_cut(model, doomed, want, accept, budget)
             if cut is not None:
                 yield cut
-
-
-def corner_chop(
-    model: DimerModel,
-    group: Sequence[Mat2],
-    corner: Vec,
-    legs: int = 1,
-    target: Optional[Sequence[Vec]] = None,
-    accept=None,
-    budget: Optional[Budget] = None,
-) -> DimerModel:
-    """The first outcome of corner_cuts.  Raises SearchExhaustedError
-    when there is none."""
-    for cut in corner_cuts(model, group, corner, legs, target, accept, budget):
-        return cut
-    raise SearchExhaustedError(
-        f"no symmetric crossing resolution cuts corner {corner} with legs {legs}"
-    )

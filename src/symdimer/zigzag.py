@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Dict, Iterable, List, Tuple
 
-from .dimer import WHITE, DimerModel, angle_equal, angle_less, rotation_system
+from .dimer import (
+    WHITE,
+    DimerModel,
+    _side_cycles,
+    angle_equal,
+    angle_less,
+    rotation_system,
+)
 from .lattice import Vec, convex_hull, normalize_translation, primitive
 
 Side = Tuple[int, int]  # (edge id, +1 for white->black, -1 for black->white)
@@ -46,12 +53,6 @@ class ZigzagPath:
         return len(self.sides)
 
 
-def _canonical_rotation(sides: List[Side]) -> Tuple[Side, ...]:
-    key = min(range(len(sides)),
-              key=lambda i: (sides[i][0], 0 if sides[i][1] == 1 else 1))
-    return tuple(sides[key:] + sides[:key])
-
-
 def zigzag_paths(model: DimerModel) -> List[ZigzagPath]:
     rot = rotation_system(model)
     succ: Dict[int, Dict[int, int]] = {}
@@ -68,23 +69,7 @@ def zigzag_paths(model: DimerModel) -> List[ZigzagPath]:
             return (pred[e.black][eid], -1)
         return (succ[e.white][eid], 1)
 
-    all_sides = [(e.id, 1) for e in model.edges] + [(e.id, -1) for e in model.edges]
-    all_sides.sort(key=lambda s: (s[0], 0 if s[1] == 1 else 1))
-    used = set()
-    cycles: List[Tuple[Side, ...]] = []
-    for start in all_sides:
-        if start in used:
-            continue
-        cyc = []
-        cur = start
-        while True:
-            cyc.append(cur)
-            used.add(cur)
-            cur = step(cur)
-            if cur == start:
-                break
-        cycles.append(_canonical_rotation(cyc))
-    cycles.sort(key=lambda c: (c[0][0], 0 if c[0][1] == 1 else 1))
+    cycles = _side_cycles(model, step)
     out = []
     for i, cyc in enumerate(cycles):
         sx = sum(d * model.edge(e).offset[0] for e, d in cyc)

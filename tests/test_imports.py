@@ -1,4 +1,5 @@
-"""Every import in the library is used by the module that makes it."""
+"""Every import in the library is used by the module that makes it, and
+every public function and class by the library itself."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,65 @@ def test_the_check_sees_an_unused_import():
         "x: List[int] = []\n"
     )
     assert unused_imports(source) == [(2, "os")]
+
+
+# The predicates the library offers for checking a matching.  Callers use
+# them on what enumerate_matchings and invariant_matching_at_origin return.
+UNUSED_ON_PURPOSE = {"is_perfect_matching", "apply_to_matching"}
+
+
+def unreferenced_definitions(sources):
+    """(module, name) of the public top-level functions and classes that no
+    top-level statement other than their own definition reads, as a name
+    or as an attribute; sources maps module names to their text.  An
+    import alone is no reference."""
+    defined = []
+    reads = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = (module, stmt.name)
+                if not stmt.name.startswith("_"):
+                    defined.append(own)
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            reads.append((own, names))
+    return sorted(
+        d for d in defined if not any(d[1] in names for own, names in reads if own != d)
+    )
+
+
+def test_every_public_definition_is_used_by_the_library():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    found = unreferenced_definitions(sources)
+    assert [d for d in found if d[1] not in UNUSED_ON_PURPOSE] == []
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    sources = {
+        "a.py": (
+            "def called():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Read:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "from a import called, recursive\n"
+            "import a\n"
+            "def unused():\n"
+            "    return called() + a.Read\n"
+        ),
+    }
+    assert unreferenced_definitions(sources) == [
+        ("a.py", "recursive"),
+        ("b.py", "unused"),
+    ]

@@ -8,12 +8,8 @@ from symdimer.lattice import Mat2, canonical_group
 from symdimer.matchings import enumerate_matchings, invariant_matching_at_origin
 from symdimer.quiver import (
     NotInvariantMatchingError,
-    action_on_quiver,
-    map_path,
     quiver_of,
-    relations_equivariant,
     twisted_action,
-    v0_generated_theta,
 )
 
 
@@ -37,6 +33,35 @@ def perm_order(perm):
         cur = {k: perm[v] for k, v in cur.items()}
         order += 1
     return order
+
+
+def plain_action(model, act):
+    """Arrow permutation per element: the action twisted by the empty
+    matching, which every element fixes, so every sign is +1."""
+    signed = twisted_action(model, act, ())
+    assert all(set(s.values()) == {1} for s in signed.sign.values())
+    return signed.arrow_perm
+
+
+def assert_acts_on_quiver(model, act):
+    """Every element sends sources to sources and targets to targets
+    through its face permutation, and each relation to the relation of
+    the image arrow, with the white and black return paths swapped
+    exactly when the element has determinant -1."""
+    q = quiver_of(model)
+    arrows = {a.id: a for a in q.arrows}
+    relations = {r.arrow: r for r in q.relations}
+    for h, perm in plain_action(model, act).items():
+        faces = act.face_perm(h)
+        for aid, a in arrows.items():
+            img = arrows[perm[aid]]
+            assert (img.source, img.target) == (faces[a.source], faces[a.target])
+        for rel in q.relations:
+            img = relations[perm[rel.arrow]]
+            plus = tuple(perm[a] for a in rel.plus)
+            minus = tuple(perm[a] for a in rel.minus)
+            want = (minus, plus) if h.det() == -1 else (plus, minus)
+            assert (img.plus, img.minus) == want
 
 
 def test_hexagonal_quiver_is_three_loops_with_commutators():
@@ -74,12 +99,14 @@ def test_octagon_quiver_counts():
 def test_relation_paths_run_from_target_to_source():
     for name in CATALOG:
         q = quiver_of(CATALOG[name]())
+        arrows = {a.id: a for a in q.arrows}
         for rel in q.relations:
-            a = q.arrow(rel.arrow)
+            a = arrows[rel.arrow]
             for path in (rel.plus, rel.minus):
-                assert q.is_path(path)
-                assert q.source(path[0]) == a.target
-                assert q.target(path[-1]) == a.source
+                for prev, nxt in zip(path, path[1:]):
+                    assert arrows[prev].target == arrows[nxt].source
+                assert arrows[path[0]].source == a.target
+                assert arrows[path[-1]].target == a.source
 
 
 def test_each_arrow_sits_in_one_white_and_one_black_cycle():
@@ -112,50 +139,40 @@ def test_matching_meets_both_relation_paths_equally():
 def test_identity_acts_trivially():
     model = hexagonal_model()
     act = find_symmetry(model, canonical_group("TRIVIAL"))
-    qa = action_on_quiver(model, act)
     ident = Mat2.identity()
-    assert qa[ident].vertex_perm == {0: 0}
-    assert qa[ident].arrow_perm == {0: 0, 1: 1, 2: 2}
-    assert not qa[ident].reverses_orientation
+    assert act.face_perm(ident) == {0: 0}
+    assert plain_action(model, act)[ident] == {0: 0, 1: 1, 2: 2}
+    assert_acts_on_quiver(model, act)
 
 
 def test_rotation_acts_with_order_four_and_fixes_the_fixed_face():
     model = octagon_model()
     act = find_symmetry(model, canonical_group("C4"))
-    qa = action_on_quiver(model, act)
     v0 = fixed_face(act)
     gen = Mat2.from_rows(((0, -1), (1, 0)))
-    assert perm_order(qa[gen].arrow_perm) == 4
-    assert qa[gen].vertex_perm[v0] == v0
+    assert perm_order(plain_action(model, act)[gen]) == 4
+    assert act.face_perm(gen)[v0] == v0
 
 
 def test_reflection_exchanges_the_two_arrow_families():
     model = square_model()
     act = find_symmetry(model, canonical_group("R1"))
     q = quiver_of(model)
-    qa = action_on_quiver(model, act)
     refl = Mat2.from_rows(((1, 0), (0, -1)))
-    assert qa[refl].reverses_orientation
+    assert refl.det() == -1
+    perm = plain_action(model, act)[refl]
     forward = {a.id for a in q.arrows if (a.source, a.target) == (0, 1)}
     backward = {a.id for a in q.arrows if (a.source, a.target) == (1, 0)}
-    assert {qa[refl].arrow_perm[a] for a in forward} == backward
-    assert {qa[refl].arrow_perm[a] for a in backward} == forward
+    assert {perm[a] for a in forward} == backward
+    assert {perm[a] for a in backward} == forward
+    assert_acts_on_quiver(model, act)
 
 
 def test_relations_are_equivariant_under_the_full_dihedral_action():
     model = octagon_model()
-    q = quiver_of(model)
     act = find_symmetry(model, canonical_group("D8"))
-    qa = action_on_quiver(model, act)
-    assert len(qa) == 8
-    for h, a in qa.items():
-        assert relations_equivariant(q, a)
-        rel = q.relations[0]
-        img = q.relation(a.arrow_perm[rel.arrow])
-        if a.reverses_orientation:
-            assert img.plus == map_path(a, rel.minus)
-        else:
-            assert img.plus == map_path(a, rel.plus)
+    assert len(act.elements) == 8
+    assert_acts_on_quiver(model, act)
 
 
 def test_twisted_action_flips_signs_exactly_on_the_matching():
@@ -201,41 +218,6 @@ def test_twisted_action_rejects_a_moved_matching():
         twisted_action(model, act, moved)
 
 
-def test_theta_is_positive_away_from_the_chosen_vertex():
-    q = quiver_of(octagon_model())
-    theta = v0_generated_theta(q, q.vertices[0])
-    assert theta(q.vertices[0]) == -3
-    assert all(theta(v) == 1 for v in q.vertices[1:])
-    assert theta.total == 0
-
-
-def test_theta_on_a_single_vertex_quiver_is_zero():
-    q = quiver_of(hexagonal_model())
-    theta = v0_generated_theta(q, 0)
-    assert theta.theta == {0: 0}
-    assert theta.total == 0
-
-
-def test_theta_checks_invariance_under_supplied_permutations():
-    model = octagon_model()
-    q = quiver_of(model)
-    act = find_symmetry(model, canonical_group("D8"))
-    qa = action_on_quiver(model, act)
-    perms = [a.vertex_perm for a in qa.values()]
-    v0 = fixed_face(act)
-    theta = v0_generated_theta(q, v0, perms)
-    assert theta(v0) == -3
-    moved = next(v for v in q.vertices if any(p[v] != v for p in perms))
-    with pytest.raises(ValueError):
-        v0_generated_theta(q, moved, perms)
-
-
-def test_theta_rejects_a_missing_vertex():
-    q = quiver_of(hexagonal_model())
-    with pytest.raises(ValueError):
-        v0_generated_theta(q, 99)
-
-
 def test_quiver_action_survives_a_cover():
     model = cover(square_model(), Mat2.from_rows(((2, 0), (0, 2))))
     q = quiver_of(model)
@@ -243,6 +225,4 @@ def test_quiver_action_survives_a_cover():
     assert len(q.arrows) == 16
     act = find_symmetry(model, canonical_group("R2"))
     assert act.fixed_faces() == [1, 2, 4, 7]
-    qa = action_on_quiver(model, act)
-    refl = Mat2.from_rows(((0, 1), (1, 0)))
-    assert relations_equivariant(q, qa[refl])
+    assert_acts_on_quiver(model, act)

@@ -22,7 +22,7 @@ from symdimer.lattice import (
     Mat2,
     canonical_group,
     convex_hull,
-    corner_chop_admissible,
+    corner_cut_admissible,
     normalize_translation,
     exact_invariant_frame,
 )
@@ -33,13 +33,11 @@ from symdimer.surgery import (
     BudgetSpentError,
     EmbeddingFailedError,
     IsolatedNodeError,
-    SearchExhaustedError,
     SingularBasisError,
     SurgeryError,
     UnivalentAfterDeletionError,
     WholePolygonError,
     cover,
-    corner_chop,
     corner_cuts,
     delete_edges,
     reembed,
@@ -112,6 +110,37 @@ def test_cover_polygon_law(make, s):
     assert check_consistency(c).consistent
     transported = [sm.transpose().apply(p) for p in poly_of(base)]
     assert poly_of(c) == normalize_translation(convex_hull(transported))
+
+
+def reduced_cosets(s):
+    """Reference: every point v of [0,k)^2, k = |det s|, reduced to
+    v - s*floor(s^-1 v) in Fractions; the distinct results, sorted."""
+    det = s.det()
+    inv = (
+        (Fraction(s.d, det), Fraction(-s.b, det)),
+        (Fraction(-s.c, det), Fraction(s.a, det)),
+    )
+    reps = set()
+    for v in itertools.product(range(abs(det)), repeat=2):
+        w = tuple(math.floor(row[0] * v[0] + row[1] * v[1]) for row in inv)
+        sw = s.apply(w)
+        reps.add((v[0] - sw[0], v[1] - sw[1]))
+    return sorted(reps)
+
+
+def test_coset_representatives_match_the_reduced_square():
+    """Every basis with entries in [-3, 3] and det != 0, in or out of
+    Hermite normal form, of either determinant sign."""
+    bases = [
+        mat(*e)
+        for e in itertools.product(range(-3, 4), repeat=4)
+        if e[0] * e[3] != e[1] * e[2]
+    ]
+    assert sum(s.det() < 0 for s in bases) == sum(s.det() > 0 for s in bases)
+    for s in bases:
+        want = reduced_cosets(s)
+        assert len(want) == abs(s.det())
+        assert surgery._parallelogram_points(s) == want
 
 
 def test_hexagonal_two_by_two_cover_size():
@@ -374,7 +403,7 @@ def test_corner_chop_square_c2_gives_hexagon():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = corner_chop(m, action.elements, (1, 1))
+    chopped = next(corner_cuts(m, action.elements, (1, 1)), None)
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -390,7 +419,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
     m = cover(octagon_model(), mat(2, 0, 0, 2))
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
-    chopped = corner_chop(m, action.elements, (2, 0))
+    chopped = next(corner_cuts(m, action.elements, (2, 0)), None)
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -403,7 +432,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
 def test_corner_chop_trivial_group_matches_plain_cut():
     m = octagon_model()
     action = identity_action(m)
-    chopped = corner_chop(m, action.elements, (2, 0))
+    chopped = next(corner_cuts(m, action.elements, (2, 0)), None)
     assert poly_of(chopped) == ((0, 0), (1, -1), (1, 1))
 
 
@@ -412,7 +441,7 @@ def test_corner_chop_inadmissible_corner_rejected():
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
     with pytest.raises(ValueError):
-        corner_chop(m, action.elements, (1, 0))
+        next(corner_cuts(m, action.elements, (1, 0)), None)
 
 
 def test_corner_chop_whole_polygon_guard():
@@ -420,21 +449,21 @@ def test_corner_chop_whole_polygon_guard():
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
     with pytest.raises(WholePolygonError):
-        corner_chop(m, action.elements, (1, 0))
+        next(corner_cuts(m, action.elements, (1, 0)), None)
 
 
 def test_corner_chop_unreachable_target_exhausts():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
-    with pytest.raises(SearchExhaustedError):
-        corner_chop(m, action.elements, (1, 1), target=((0, 0), (5, 0), (0, 5)))
+    target = ((0, 0), (5, 0), (0, 5))
+    assert next(corner_cuts(m, action.elements, (1, 1), target=target), None) is None
 
 
 def test_corner_chop_dodecagon_c2_gives_diamond():
     m = dodecagon_model()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = corner_chop(m, action.elements, (1, 1))
+    chopped = next(corner_cuts(m, action.elements, (1, 1)), None)
     assert validate(chopped).ok
     assert check_consistency(chopped).consistent
     frame = exact_invariant_frame(
@@ -463,10 +492,10 @@ def reembed_calls(monkeypatch):
 def test_repeated_chop_is_decided_once(reembed_calls):
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
-    first = corner_chop(m, action.elements, (1, 1))
+    first = next(corner_cuts(m, action.elements, (1, 1)), None)
     assert reembed_calls
     seen = len(reembed_calls)
-    assert corner_chop(m, action.elements, (1, 1)) is first
+    assert next(corner_cuts(m, action.elements, (1, 1)), None) is first
     assert len(reembed_calls) == seen
 
 
@@ -474,32 +503,30 @@ def test_repeated_failing_chop_is_decided_once(reembed_calls):
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     target = ((0, 0), (5, 0), (0, 5))
-    with pytest.raises(SearchExhaustedError) as first:
-        corner_chop(m, action.elements, (1, 1), target=target)
+    assert next(corner_cuts(m, action.elements, (1, 1), target=target), None) is None
     seen = len(reembed_calls)
-    with pytest.raises(SearchExhaustedError) as again:
-        corner_chop(m, action.elements, (1, 1), target=target)
-    assert str(again.value) == str(first.value)
+    assert next(corner_cuts(m, action.elements, (1, 1), target=target), None) is None
     assert len(reembed_calls) == seen
     # the same deleted edges toward another target are a new candidate
     cold = centered_square_cover()
-    want = corner_chop(cold, canonical_group("C2"), (1, 1))
-    assert corner_chop(m, action.elements, (1, 1)) == want
+    want = next(corner_cuts(cold, canonical_group("C2"), (1, 1)), None)
+    assert want is not None
+    assert next(corner_cuts(m, action.elements, (1, 1)), None) == want
 
 
 def test_budget_counts_edges_handled(reembed_calls):
     m = centered_square_cover()
     group = canonical_group("C2")
     with pytest.raises(BudgetSpentError, match="0 of 0 edge units"):
-        corner_chop(m, group, (1, 1), budget=Budget(0))
+        next(corner_cuts(m, group, (1, 1), budget=Budget(0)), None)
     budget = Budget(10**6)
-    first = corner_chop(m, group, (1, 1), budget=budget)
+    first = next(corner_cuts(m, group, (1, 1), budget=budget), None)
     assert reembed_calls
     # gathering the candidates, then each candidate decided
     assert budget.spent == len(m.edges) * (1 + len(reembed_calls))
     # kept verdicts are free: the same chop again costs the gathering
     spent = budget.spent
-    assert corner_chop(m, group, (1, 1), budget=budget) is first
+    assert next(corner_cuts(m, group, (1, 1), budget=budget), None) is first
     assert budget.spent == spent + len(m.edges)
 
 
@@ -507,7 +534,7 @@ def test_corner_cuts_yield_each_outcome_once():
     m = centered_square_cover()
     group = canonical_group("C2")
     cuts = list(corner_cuts(m, group, (1, 1)))
-    assert cuts and corner_chop(m, group, (1, 1)) is cuts[0]
+    assert cuts and next(corner_cuts(m, group, (1, 1)), None) is cuts[0]
     assert len({id(c) for c in cuts}) == len(cuts)
     for cut in cuts:
         assert exact_invariant_frame(poly_of(cut), group) == convex_hull(
@@ -518,7 +545,7 @@ def test_corner_cuts_yield_each_outcome_once():
 def test_long_legs_need_a_target():
     m = centered_square_cover()
     with pytest.raises(ValueError, match="needs its target"):
-        corner_chop(m, canonical_group("C2"), (1, 1), legs=2)
+        next(corner_cuts(m, canonical_group("C2"), (1, 1), legs=2), None)
 
 
 def test_cut_with_two_legs_at_mirror_corners():
@@ -538,9 +565,8 @@ def test_cut_with_two_legs_at_mirror_corners():
     ]
     target = convex_hull(ends)
     assert len(target) == 6
-    with pytest.raises(SearchExhaustedError):
-        corner_chop(tri, group, frame[0], target=target)
-    cut = corner_chop(tri, group, frame[0], legs=2, target=target)
+    assert next(corner_cuts(tri, group, frame[0], target=target), None) is None
+    cut = next(corner_cuts(tri, group, frame[0], legs=2, target=target), None)
     assert validate(cut).ok
     assert check_consistency(cut).consistent
     assert exact_invariant_frame(poly_of(cut), group) == target
@@ -556,27 +582,27 @@ def test_accept_runs_on_every_repeated_cut():
         seen.append(cut)
         return True
 
-    first = corner_chop(m, action.elements, (1, 1), accept=accept)
-    assert corner_chop(m, action.elements, (1, 1), accept=accept) is first
+    first = next(corner_cuts(m, action.elements, (1, 1), accept=accept), None)
+    assert next(corner_cuts(m, action.elements, (1, 1), accept=accept), None) is first
     assert seen == [first, first]
     # a rejecting predicate is asked again on the same cached cuts
     rejected = []
     for _ in range(2):
-        with pytest.raises(SearchExhaustedError):
-            corner_chop(m, action.elements, (1, 1), accept=lambda cut: rejected.append(cut))
+        rejecting = corner_cuts(m, action.elements, (1, 1), accept=rejected.append)
+        assert next(rejecting, None) is None
     half = len(rejected) // 2
     assert rejected[0] is first
     assert all(a is b for a, b in zip(rejected[:half], rejected[half:]))
     assert len(rejected) == 2 * half
-    assert corner_chop(m, action.elements, (1, 1)) is first
+    assert next(corner_cuts(m, action.elements, (1, 1)), None) is first
 
 
 def _chop_outcome(model, group, corner):
     try:
-        cut = corner_chop(model, group, corner)
+        cut = next(corner_cuts(model, group, corner), None)
     except SurgeryError as exc:
         return type(exc), str(exc)
-    return cut.nodes, cut.edges
+    return None if cut is None else (cut.nodes, cut.edges)
 
 
 def test_cold_and_warm_cut_caches_agree():
@@ -603,12 +629,12 @@ def test_cold_and_warm_cut_caches_agree():
                 except ValueError:
                     continue
                 for corner in frame:
-                    if not corner_chop_admissible(frame, mats, corner):
+                    if not corner_cut_admissible(frame, mats, corner):
                         continue
                     cold = DimerModel(model.nodes, model.edges)
                     want = _chop_outcome(cold, mats, corner)
                     assert _chop_outcome(warm, mats, corner) == want
                     assert _chop_outcome(warm, mats, corner) == want
                     chops += 1
-                    cuts += not isinstance(want[0], type)
+                    cuts += want is not None and not isinstance(want[0], type)
     assert chops > 150 and 50 < cuts < chops
