@@ -727,11 +727,13 @@ def symmetry_actions(
 
     The search runs in the integer frame.  A generator's candidate
     translations take the first node onto each node of the required
-    color; each is tested on its own, at most once per call, with one
-    node, edge and face map.  A translation that fails for its generator
-    is part of no action.  For one passing translation per generator,
-    every other element h = e g, read off its _generating_words word,
-    gets the translation t_h = frac(linear_e t_g + t_e).  The choice is
+    color; each is tested on its own, at most once per call: first
+    against the generator's own relation g^n = 1 (n its order), then
+    with one node, edge and face map.  A translation that fails for its
+    generator is part of no action.  For one passing translation per
+    generator, every other element h = e g, read off its
+    _generating_words word, gets the translation
+    t_h = frac(linear_e t_g + t_e).  The choice is
     dropped unless that law holds for every element e and generator g:
     else some relation of the group acts as a nonzero torus translation
     and the maps are no group action.  Only then are the permutations
@@ -776,12 +778,22 @@ def symmetry_actions(
     cand = [_candidate_translations(model, g, lin[g], frame) for g in gens]
     tested: List[Dict[Vec, Optional[Tuple[Vec, ElementAction]]]] = [{} for _ in gens]
 
+    def cycles(g: Mat2, t: Vec) -> bool:
+        # g^n = 1 for the order n of g, so g^n must translate by 0
+        x, y = t
+        power = g
+        while power != ident:
+            x, y = lin[g].apply((x, y))
+            x, y = (x + t[0]) % scale, (y + t[1]) % scale
+            power = power.mul(g)
+        return (x, y) == (0, 0)
+
     def passing(i: int):
         # inner generators are iterated once per outer choice: map each
         # candidate once, on first use
         for t in cand[i]:
             if t not in tested[i]:
-                tested[i][t] = realize(gens[i], t)
+                tested[i][t] = realize(gens[i], t) if cycles(gens[i], t) else None
             if tested[i][t] is not None:
                 yield tested[i][t]
 

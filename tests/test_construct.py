@@ -29,6 +29,7 @@ from symdimer.lattice import (
 )
 from symdimer.matchings import (
     apply_to_matching,
+    characteristic_polygon,
     invariant_matching_at_origin,
     is_perfect_matching,
 )
@@ -218,6 +219,18 @@ def test_verify_bundle_checks_models_with_many_matchings(name, a, d, monkeypatch
     assert rep.char_polygon == rep.zigzag_polygon == poly_of(model)
     assert not any("capped" in note for note in rep.notes)
     assert rep.ok
+
+
+@pytest.mark.parametrize("name,k", [("dodecagon", 5), ("hexagonal", 12)])
+def test_verify_bundle_checks_the_polygon_of_large_covers(name, k):
+    # 300 and 288 nodes: the matching oracle still decides the key check.
+    base = CATALOG[name]()
+    s = mat(k, 0, 0, k)
+    rep = verify_bundle(cover(base, s))
+    assert rep.ok
+    assert rep.char_matches_zigzag is True
+    want = apply_matrix_to_polygon(s.transpose(), characteristic_polygon(base))
+    assert same_up_to_translation(rep.char_polygon, convex_hull(want))
 
 
 # verify_bundle on each catalog model without one edge:

@@ -387,6 +387,142 @@ def test_support_agrees_with_enumeration(name, mk):
         assert bh[0] * u[0] + bh[1] * u[1] == value
 
 
+BIG = 1 << 40
+
+
+def dense_min_cost_assignment(cost):
+    """Hungarian algorithm on a dense n x n cost matrix; for each column
+    the assigned row (1-based), or None when no perfect assignment avoids
+    the non-edge cost BIG."""
+    n = len(cost)
+    inf = BIG * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            if j1 < 0 or delta >= inf:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return [p[j] for j in range(1, n + 1)]
+
+
+def dense_max_weight_perfect_matching(model, weights):
+    """Reference oracle: the heaviest edge of each (white, black) pair in
+    an n x n cost matrix, BIG for non-edges, solved by the Hungarian
+    algorithm in O(n^3).  None when there is no perfect matching."""
+    whites = sorted(n.id for n in model.nodes if n.color == WHITE)
+    blacks = sorted(n.id for n in model.nodes if n.color != WHITE)
+    if len(whites) != len(blacks) or not whites:
+        return None
+    wi = {nid: i for i, nid in enumerate(whites)}
+    bi = {nid: j for j, nid in enumerate(blacks)}
+    n = len(whites)
+    best = [[None] * n for _ in range(n)]
+    for e in model.edges:
+        i, j = wi[e.white], bi[e.black]
+        w = weights.get(e.id, 0)
+        if best[i][j] is None or w > weights.get(best[i][j], 0):
+            best[i][j] = e.id
+    cost = [
+        [BIG if eid is None else -weights.get(eid, 0) for eid in row]
+        for row in best
+    ]
+    rows = dense_min_cost_assignment(cost)
+    if rows is None:
+        return None
+    out = [best[i - 1][j] for j, i in enumerate(rows)]
+    return None if None in out else tuple(sorted(out))
+
+
+def test_sparse_oracle_agrees_with_the_dense_reference(monkeypatch):
+    """On every HNF cover of index <= 4 of the catalog models, each
+    direction the gift wrap asks gets the same support value from the
+    sparse oracle and the dense Hungarian, and the sparse matching is
+    perfect and reaches that value."""
+    asked = []
+
+    def recording(model, direction):
+        asked.append(direction)
+        return support(model, direction)
+
+    monkeypatch.setattr(matchings, "support", recording)
+    queries = 0
+    for name, mk in ALL_MODELS:
+        for index in range(1, 5):
+            for basis, model in hnf_covers(mk(), index):
+                asked.clear()
+                characteristic_polygon(model)
+                for ux, uy in asked:
+                    weights = {e.id: e.offset[0] * uy - e.offset[1] * ux for e in model.edges}
+                    value, sparse = support(model, (ux, uy))
+                    dense = dense_max_weight_perfect_matching(model, weights)
+                    assert is_perfect_matching(model, sparse), (name, basis)
+                    assert is_perfect_matching(model, dense), (name, basis)
+                    assert sum(weights[e] for e in dense) == value, (name, basis, (ux, uy))
+                    h = height_change(model, sparse, ())
+                    assert h[0] * ux + h[1] * uy == value
+                    queries += 1
+    assert queries > 500
+
+
+def test_a_balanced_model_without_a_perfect_matching_is_refused():
+    # Every node has an edge, but whites 0 and 1 share their only
+    # neighbour, black 3, so Hall's condition fails and the oracle's
+    # search for an augmenting path comes back empty.
+    nodes = [
+        Node(0, "W", frac_pt((Fraction(1, 8), Fraction(1, 4)))),
+        Node(1, "W", frac_pt((Fraction(3, 8), Fraction(1, 4)))),
+        Node(2, "W", frac_pt((Fraction(5, 8), Fraction(1, 4)))),
+        Node(3, "B", frac_pt((Fraction(1, 4), Fraction(3, 4)))),
+        Node(4, "B", frac_pt((Fraction(1, 2), Fraction(3, 4)))),
+        Node(5, "B", frac_pt((Fraction(3, 4), Fraction(3, 4)))),
+    ]
+    edges = [
+        Edge(0, 0, 3, (0, 0)),
+        Edge(1, 1, 3, (0, 0)),
+        Edge(2, 2, 4, (0, 0)),
+        Edge(3, 2, 5, (0, 0)),
+    ]
+    model = DimerModel(nodes, edges)
+    assert enumerate_matchings(model) == []
+    assert max_weight_perfect_matching(model, {}) is None
+    assert dense_max_weight_perfect_matching(model, {}) is None
+    with pytest.raises(ValueError, match="^model has no perfect matching$"):
+        support(model, (1, 0))
+
+
 def test_max_weight_matching_prefers_heavy_edges():
     model = square_model()
     weights = {0: 5, 1: 0, 2: 0, 3: 1}
