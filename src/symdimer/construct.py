@@ -655,12 +655,13 @@ def verify_bundle(
     zz = None
     consistent = None
     if valid:
+        paths = zigzag_paths(model)
         try:
-            zz = _poly_of(model)
+            zz = zigzag_polygon([p.slope for p in paths])
         except (NotClosedError, NonPrimitiveSlopeError, DegenerateError) as exc:
             notes.append(f"zigzag polygon unavailable: {exc}")
         try:
-            consistent = check_consistency(model).consistent
+            consistent = check_consistency(model, paths).consistent
         except (NotClosedError, NonPrimitiveSlopeError, DegenerateError) as exc:
             consistent = False
             notes.append(f"consistency check failed to run: {exc}")

@@ -115,11 +115,12 @@ class DimerModel:
             self.edge_by_id[e.id] = e
             self._incident[e.white].append(e.id)
             self._incident[e.black].append(e.id)
-        seen = set()
-        for n in self.nodes:
-            if n.pos in seen:
-                raise ValueError("two nodes share a position")
-            seen.add(n.pos)
+        # Fractions are normalized, so equal positions have equal
+        # (numerator, denominator) pairs; ints hash faster than Fractions
+        seen = {(x.numerator, x.denominator, y.numerator, y.denominator)
+                for x, y in (n.pos for n in self.nodes)}
+        if len(seen) < len(self.nodes):
+            raise ValueError("two nodes share a position")
         self._rotation: Optional[Mapping[int, Tuple[int, ...]]] = None
         self._cuts: Dict[tuple, Optional[DimerModel]] = {}
 
@@ -390,75 +391,62 @@ def _segments_conflict(p1, p2, q1, q2) -> bool:
     return False
 
 
-def _conflict_under_translate(segs, boxes, scale: int, e1: int, e2: int) -> bool:
-    """True if edge e2, moved by some integer translate (nonzero when
-    e1 == e2), conflicts with edge e1."""
-    p1, p2 = segs[e1]
-    q1, q2 = segs[e2]
-    bx1, bx2 = boxes[e1], boxes[e2]
-    # integer translate range where bounding boxes can touch
-    txs = range(-((bx2[2] - bx1[0]) // scale) - 1, (bx1[2] - bx2[0]) // scale + 2)
-    tys = range(-((bx2[3] - bx1[1]) // scale) - 1, (bx1[3] - bx2[1]) // scale + 2)
-    for tx in txs:
-        for ty in tys:
-            if e1 == e2 and tx == 0 and ty == 0:
-                continue
-            dx, dy = tx * scale, ty * scale
-            if (
-                bx2[0] + dx > bx1[2]
-                or bx2[2] + dx < bx1[0]
-                or bx2[1] + dy > bx1[3]
-                or bx2[3] + dy < bx1[1]
-            ):
-                continue
-            if _segments_conflict(
-                p1, p2, (q1[0] + dx, q1[1] + dy), (q2[0] + dx, q2[1] + dy)
-            ):
-                return True
-    return False
-
-
-def _torus_bins(box, scale: int, g: int) -> List[Tuple[int, int]]:
-    """The cells of the g x g grid on the torus (side scale in the
-    integer frame) that a bounding box meets."""
-    x0, y0, x1, y1 = box
-
-    def span(lo: int, hi: int):
-        a, b = lo * g // scale, hi * g // scale
-        return range(g) if b - a >= g - 1 else [i % g for i in range(a, b + 1)]
-
-    return [(i, j) for i in span(x0, x1) for j in span(y0, y1)]
-
-
 def _crossing_pairs(model: DimerModel) -> List[Tuple[int, int]]:
     """Sorted pairs (e1 <= e2) of edges that conflict under some integer
     translate (for e1 == e2, a nonzero one).
 
-    Two segments can only conflict where their bounding boxes meet on the
-    torus, so each box is put into the cells of a g x g grid on the
-    torus, g = min(scale, isqrt(E)), that it meets modulo the scale, and
-    only pairs sharing a cell (and every edge with itself) are tested
-    against their translates."""
+    The plane is cut into square cells, g per torus width (side scale/g
+    in the integer frame), g = min(scale, isqrt(E)).  Each edge's closed
+    bounding box is put into every cell it meets: cell (i, j) is torus
+    cell (i mod g, j mod g) taken with the translate (i div g, j div g).
+    Closed boxes that meet share a cell, so two entries (e1, t1), (e2, t2)
+    of one torus cell name each candidate: e1 against e2 moved by
+    t1 - t2.  The cells the two boxes share form a rectangle, and the
+    candidate is taken only at its lowest cell, where one of the boxes
+    starts in each axis, so it is decided once; a short edge meets no
+    translate of itself and names none.  A candidate whose boxes meet is
+    decided this way: segments that share an endpoint and are not
+    parallel meet only there; every other pair goes to the exact segment
+    test.  A pair found crossing is not tested again."""
     scale, segs = _scaled_segments(model)
-    ids = sorted(segs)
+    g = min(scale, isqrt(len(segs)))
     boxes = {}
-    for eid in ids:
-        (x1, y1), (x2, y2) = segs[eid]
-        boxes[eid] = (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-    g = min(scale, isqrt(len(ids)))
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    for eid in ids:
-        for cell in _torus_bins(boxes[eid], scale, g):
-            cells.setdefault(cell, []).append(eid)
-    pairs = {(e, e) for e in ids}
+    cells: Dict[Tuple[int, int], List[Tuple[int, int, int, bool, bool]]] = {}
+    for eid, ((x1, y1), (x2, y2)) in segs.items():
+        box = boxes[eid] = (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        i0, j0 = box[0] * g // scale, box[1] * g // scale
+        for i in range(i0, box[2] * g // scale + 1):
+            for j in range(j0, box[3] * g // scale + 1):
+                entry = (eid, i // g, j // g, i == i0, j == j0)
+                cells.setdefault((i % g, j % g), []).append(entry)
+    crossing = set()
     for members in cells.values():
-        for i, e1 in enumerate(members):
-            pairs.update((e1, e2) for e2 in members[i + 1 :])
-    return [
-        (e1, e2)
-        for e1, e2 in sorted(pairs)
-        if _conflict_under_translate(segs, boxes, scale, e1, e2)
-    ]
+        for k, (e1, tx1, ty1, first_x1, first_y1) in enumerate(members):
+            for e2, tx2, ty2, first_x2, first_y2 in members[k + 1 :]:
+                # edges enter in id order, so e1 <= e2
+                if not ((first_x1 or first_x2) and (first_y1 or first_y2)):
+                    continue
+                if (e1, e2) in crossing:
+                    continue
+                dx, dy = (tx1 - tx2) * scale, (ty1 - ty2) * scale
+                b1, b2 = boxes[e1], boxes[e2]
+                if (
+                    b2[0] + dx > b1[2]
+                    or b2[2] + dx < b1[0]
+                    or b2[1] + dy > b1[3]
+                    or b2[3] + dy < b1[1]
+                ):
+                    continue
+                p1, p2 = segs[e1]
+                (u1, v1), (u2, v2) = segs[e2]
+                q1, q2 = (u1 + dx, v1 + dy), (u2 + dx, v2 + dy)
+                if (p1 == q1 or p1 == q2 or p2 == q1 or p2 == q2) and (
+                    (p2[0] - p1[0]) * (v2 - v1) != (p2[1] - p1[1]) * (u2 - u1)
+                ):
+                    continue
+                if _segments_conflict(p1, p2, q1, q2):
+                    crossing.add((e1, e2))
+    return sorted(crossing)
 
 
 def validate(model: DimerModel) -> ValidationReport:

@@ -346,13 +346,14 @@ def _cut(
         return None
     if not validate(cut).ok:
         return None
+    paths = zigzag_paths(cut)
     try:
-        got = zigzag_polygon([p.slope for p in zigzag_paths(cut)])
+        got = zigzag_polygon([p.slope for p in paths])
     except (NotClosedError, NonPrimitiveSlopeError):
         return None
     if got != target:
         return None
-    if not check_consistency(cut).consistent:
+    if not check_consistency(cut, paths).consistent:
         return None
     return cut
 
@@ -449,16 +450,12 @@ def corner_cuts(
         return
     if budget is not None:
         budget.charge(len(model.edges))
-    fam_out = [p for p in paths if p.slope == _side_normal(d_out)]
-    fam_in = [p for p in paths if p.slope == _side_normal(d_in)]
+    fam_out = [set(p.edge_ids()) for p in paths if p.slope == _side_normal(d_out)]
+    fam_in = [set(p.edge_ids()) for p in paths if p.slope == _side_normal(d_in)]
     seeds = []
     for sel_out in itertools.combinations(fam_out, legs):
         for sel_in in itertools.combinations(fam_in, legs):
-            crossings = [
-                set(z1.edge_ids()) & set(z2.edge_ids())
-                for z1 in sel_out
-                for z2 in sel_in
-            ]
+            crossings = [z1 & z2 for z1 in sel_out for z2 in sel_in]
             if all(crossings):
                 seeds.append(set().union(*crossings))
     tried = set()

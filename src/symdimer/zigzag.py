@@ -131,8 +131,8 @@ class ConsistencyVerdict:
         return out
 
 
-def check_consistency(model: DimerModel) -> ConsistencyVerdict:
-    paths = zigzag_paths(model)
+def check_consistency(model: DimerModel, paths: List[ZigzagPath]) -> ConsistencyVerdict:
+    """The consistency verdict of a model, given its zigzag paths."""
     owner: Dict[Side, int] = {}
     for p in paths:
         for side in p.sides:

@@ -50,7 +50,7 @@ def test_catalog_models_are_consistent_with_expected_face_counts():
     for name, make in CATALOG.items():
         model = make()
         assert validate(model).ok, name
-        assert check_consistency(model).consistent, name
+        assert check_consistency(model, zigzag_paths(model)).consistent, name
         assert len(faces(model)) == expected_faces[name], name
         # face count equals twice the polygon area
         assert polygon_area2(poly_of(model)) == expected_faces[name], name
@@ -180,7 +180,7 @@ def test_transform_model_reflects_and_stays_consistent():
     model = hexagonal_model()
     swapped = transform_model(model, mat(0, 1, 1, 0))
     assert validate(swapped).ok
-    assert check_consistency(swapped).consistent
+    assert check_consistency(swapped, zigzag_paths(swapped)).consistent
     want = [(y, x) for x, y in poly_of(model)]
     assert same_up_to_translation(poly_of(swapped), want)
 
@@ -202,6 +202,19 @@ def test_verify_bundle_without_action_checks_the_model_alone():
     assert rep.ok
     assert rep.symmetric is None
     assert rep.polygon_match is None
+
+
+def test_verify_bundle_traces_the_zigzag_paths_once_per_call(monkeypatch):
+    traced = []
+
+    def counted(model):
+        traced.append(model)
+        return zigzag_paths(model)
+
+    monkeypatch.setattr(construct, "zigzag_paths", counted)
+    model = cover(square_model(), mat(2, 1, 0, 2))
+    assert verify_bundle(model).ok and verify_bundle(model).ok
+    assert traced == [model, model]
 
 
 @pytest.mark.parametrize("name,a,d", [("square", 4, 4), ("hexagonal", 1, 15)])

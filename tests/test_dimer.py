@@ -8,6 +8,7 @@ from symdimer.construct import (
     hexagonal_model,
     octagon_model,
     square_model,
+    transform_model,
 )
 from symdimer.dimer import (
     BLACK,
@@ -352,6 +353,86 @@ def test_binned_and_incremental_agree_with_the_references():
             merged += not isinstance(got, str)
             loops += isinstance(got, str)
     assert compared > 400 and crossing > 50 and merged and loops
+
+
+# Markings with an entry of +-3 stretch edges across several torus widths,
+# so an edge meets its torus cells under several translates.
+MARKINGS = [
+    Mat2(a, b, c, d)
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+    if a * d - b * c in (1, -1) and 3 in (abs(a), abs(b), abs(c), abs(d))
+]
+
+
+def marked_covers(indices):
+    """The catalog models' Hermite-normal-form covers of the given indices
+    under every marking of MARKINGS."""
+    for mk in CATALOG:
+        model = mk()
+        for a, d in itertools.product(range(1, 5), repeat=2):
+            if a * d in indices:
+                for b in range(a):
+                    c = cover(model, Mat2(a, b, 0, d)) if a * d > 1 else model
+                    for m in MARKINGS:
+                        yield transform_model(c, m)
+
+
+def test_binned_crossings_agree_with_the_reference_under_markings():
+    """The catalog models under every marking and, where a colour has two
+    nodes, with two of them swapped (long crossing edges)."""
+    compared = crossing = 0
+    for model in marked_covers({1}):
+        swapped = _swap_first_pair(model)
+        for m in [model] if swapped is None else [model, swapped]:
+            pairs = _crossing_pairs(m)
+            assert pairs == all_pairs_crossing_pairs(m)
+            compared += 1
+            crossing += bool(pairs)
+    assert len(MARKINGS) == 128 and compared == 6 * 128 and crossing > 200
+
+
+@pytest.mark.slow
+def test_binned_crossings_agree_with_the_reference_on_marked_covers():
+    compared = 0
+    for model in marked_covers({2, 3, 4}):
+        assert _crossing_pairs(model) == all_pairs_crossing_pairs(model) == []
+        compared += 1
+    assert compared == 56 * 128
+
+
+def _segments_model(nodes, edges):
+    """A model from (id, colour, (x, y)) nodes and (white, black, offset)
+    edges, numbered in order; it need not be a valid dimer model."""
+    return DimerModel(
+        [Node(i, c, (F(x), F(y))) for i, c, (x, y) in nodes],
+        [Edge(k, w, b, off) for k, (w, b, off) in enumerate(edges)],
+    )
+
+
+def test_parallel_edges_at_a_shared_node_get_the_exact_test():
+    """Edges 0 and 1 leave node 0 in one direction and overlap; edge 2
+    leaves it in the opposite one and meets only node 0 there, but its
+    translate by (1, 0) overlaps edge 0 and meets edge 1 at their shared
+    black end.  Edge 3 leaves node 0 at a right angle."""
+    model = _segments_model(
+        [(0, WHITE, (0, 0)), (1, BLACK, ("1/2", 0)), (2, BLACK, ("1/4", 0)),
+         (3, BLACK, (0, "1/2"))],
+        [(0, 1, (0, 0)), (0, 2, (0, 0)), (0, 2, (-1, 0)), (0, 3, (0, 0))],
+    )
+    assert _crossing_pairs(model) == all_pairs_crossing_pairs(model) == [(0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "black,offset",
+    [(("1/4", "1/4"), (1, 1)), (("1/2", 0), (2, 0)), ((0, "1/3"), (0, -2))],
+)
+def test_an_edge_longer_than_its_period_overlaps_its_translate(black, offset):
+    model = _segments_model(
+        [(0, WHITE, (0, 0)), (1, BLACK, black)], [(0, 1, offset)]
+    )
+    assert _crossing_pairs(model) == all_pairs_crossing_pairs(model) == [(0, 0)]
+    short = _segments_model([(0, WHITE, (0, 0)), (1, BLACK, black)], [(0, 1, (0, 0))])
+    assert _crossing_pairs(short) == all_pairs_crossing_pairs(short) == []
 
 
 SYMMETRY_CASES = [

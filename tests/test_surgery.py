@@ -107,7 +107,7 @@ def test_cover_polygon_law(make, s):
     assert len(c.nodes) == k * len(base.nodes)
     assert len(c.edges) == k * len(base.edges)
     assert validate(c).ok
-    assert check_consistency(c).consistent
+    assert check_consistency(c, zigzag_paths(c)).consistent
     transported = [sm.transpose().apply(p) for p in poly_of(base)]
     assert poly_of(c) == normalize_translation(convex_hull(transported))
 
@@ -191,7 +191,7 @@ def test_delete_crossing_pair_collapses_to_triangle():
     assert len(cut.nodes) == 4
     assert len(cut.edges) == 6
     assert validate(cut).ok
-    assert check_consistency(cut).consistent
+    assert check_consistency(cut, zigzag_paths(cut)).consistent
     assert poly_of(cut) == ((0, 0), (1, -1), (1, 1))
 
 
@@ -405,7 +405,7 @@ def test_corner_chop_square_c2_gives_hexagon():
     assert action is not None
     chopped = next(corner_cuts(m, action.elements, (1, 1)), None)
     assert validate(chopped).ok
-    assert check_consistency(chopped).consistent
+    assert check_consistency(chopped, zigzag_paths(chopped)).consistent
     frame = exact_invariant_frame(
         poly_of(chopped), canonical_group("C2")
     )
@@ -421,7 +421,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
     assert action is not None
     chopped = next(corner_cuts(m, action.elements, (2, 0)), None)
     assert validate(chopped).ok
-    assert check_consistency(chopped).consistent
+    assert check_consistency(chopped, zigzag_paths(chopped)).consistent
     frame = exact_invariant_frame(
         poly_of(chopped), canonical_group("C4")
     )
@@ -465,7 +465,7 @@ def test_corner_chop_dodecagon_c2_gives_diamond():
     assert action is not None
     chopped = next(corner_cuts(m, action.elements, (1, 1)), None)
     assert validate(chopped).ok
-    assert check_consistency(chopped).consistent
+    assert check_consistency(chopped, zigzag_paths(chopped)).consistent
     frame = exact_invariant_frame(
         poly_of(chopped), canonical_group("C2")
     )
@@ -568,7 +568,7 @@ def test_cut_with_two_legs_at_mirror_corners():
     assert next(corner_cuts(tri, group, frame[0], target=target), None) is None
     cut = next(corner_cuts(tri, group, frame[0], legs=2, target=target), None)
     assert validate(cut).ok
-    assert check_consistency(cut).consistent
+    assert check_consistency(cut, zigzag_paths(cut)).consistent
     assert exact_invariant_frame(poly_of(cut), group) == target
     assert find_symmetry(cut, group).fixed_faces()
 

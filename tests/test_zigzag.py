@@ -287,7 +287,7 @@ def test_side_polygon_matches_characteristic_polygon(name, mk):
 @pytest.mark.parametrize("name,mk", ALL_MODELS)
 def test_catalog_models_are_consistent(name, mk):
     model = mk()
-    verdict = check_consistency(model)
+    verdict = check_consistency(model, zigzag_paths(model))
     assert verdict.consistent, verdict.failures()
     assert verdict.failures() == []
     ok, reasons = consistency_via_cover(model)
@@ -297,7 +297,7 @@ def test_catalog_models_are_consistent(name, mk):
 def test_nonprimitive_slope_witness():
     model = with_offsets(octagon_model(), [(0, (0, 0))])
     assert validate(model).ok
-    verdict = check_consistency(model)
+    verdict = check_consistency(model, zigzag_paths(model))
     assert not verdict.consistent
     assert verdict.nonprimitive
     assert verdict.shared_edges
@@ -308,7 +308,7 @@ def test_nonprimitive_slope_witness():
 def test_equal_slope_sharing_witness():
     model = with_offsets(dodecagon_model(), [(12, (-1, 0))])
     assert validate(model).ok
-    verdict = check_consistency(model)
+    verdict = check_consistency(model, zigzag_paths(model))
     assert not verdict.consistent
     assert not verdict.zero_slope
     assert not verdict.nonprimitive
@@ -320,7 +320,7 @@ def test_equal_slope_sharing_witness():
 def test_trivial_class_witness():
     model = with_offsets(octagon_model(), [(0, (0, 0)), (1, (1, 0))])
     assert validate(model).ok
-    verdict = check_consistency(model)
+    verdict = check_consistency(model, zigzag_paths(model))
     assert not verdict.consistent
     assert verdict.zero_slope
     ok, reasons = consistency_via_cover(model)
@@ -379,7 +379,7 @@ def test_checkers_agree_on_valid_mutants():
             mutant = with_offsets(base, [(e.id, o)])
             if not validate(mutant).ok:
                 continue
-            verdict = check_consistency(mutant)
+            verdict = check_consistency(mutant, zigzag_paths(mutant))
             ok, _ = consistency_via_cover(mutant)
             assert ok == verdict.consistent
             if not ok:
