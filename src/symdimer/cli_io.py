@@ -68,6 +68,7 @@ from .matchings import (
 )
 from .quiver import (
     NotInvariantMatchingError as MovedMatchingError,
+    Quiver,
     quiver_of,
     twisted_action,
 )
@@ -454,8 +455,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _quiver_doc(model: DimerModel) -> dict:
-    q = quiver_of(model)
+def _quiver_doc(q: Quiver) -> dict:
     return {
         "vertices": list(q.vertices),
         "arrows": [
@@ -471,10 +471,11 @@ def _quiver_doc(model: DimerModel) -> dict:
 def cmd_quiver(args) -> int:
     model, meta = model_from_doc(_load_json(args.model))
     try:
-        doc = _quiver_doc(model)
+        quiver = quiver_of(model)
     except (TwoEdgesSameDirectionError, ValueError) as exc:
         print(f"model has no dual quiver: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    doc = _quiver_doc(quiver)
     if args.twist:
         raw = meta.get("generators")
         if raw is None:
@@ -491,7 +492,7 @@ def cmd_quiver(args) -> int:
             return EXIT_MALFORMED
         try:
             d0 = invariant_matching_at_origin(model, action)
-            signed = twisted_action(model, action, d0)
+            signed = twisted_action(quiver, action, d0)
         except (NoInvariantMatchingError, OriginNotInPolygonError, MovedMatchingError) as exc:
             print(f"no invariant matching: {exc}", file=sys.stderr)
             return EXIT_NO_INVARIANT_MATCHING

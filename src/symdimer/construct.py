@@ -14,7 +14,10 @@ budget.  A cut takes the orbit of one corner off, or, at a corner that
 a reflection of the group fixes, a triangle with longer legs; these are
 the symmetric form of the corner cuts of Gulotta, Properly ordered
 dimers, R-charges, and an efficient inverse algorithm (arXiv:0807.3012).
-verify_bundle re-checks a model from scratch.
+The planner keeps what it has proved: the polygon of a cover under a
+marking is solved, not traced; a cut's polygon is checked by the cut
+itself; and the face-fixing action found for the last model is the one
+returned.  verify_bundle re-checks a model from scratch.
 """
 from __future__ import annotations
 
@@ -294,17 +297,19 @@ def _markings(src: Sequence[Vec], dst: Sequence[Vec]) -> List[Mat2]:
 
 def _direct(
     envelope: Tuple[Vec, ...], group: Sequence[Mat2], budget: Budget
-) -> Optional[Tuple[DimerModel, dict]]:
-    """The first catalog cover, under a marking change, whose polygon in
-    the exact invariant frame is the envelope and on which the group acts
-    fixing a face; with its trace step, or None.  Each cover and marking
-    checked is charged to the budget.
+) -> Optional[Tuple[DimerModel, SymmetryAction, dict]]:
+    """The first catalog cover, under a marking change, whose polygon is
+    the envelope and on which the group acts fixing a face; with that
+    action and its trace step, or None.  Each cover and marking checked
+    is charged to the budget.
 
     Catalogs go in CATALOG order, sublattices by their Hermite normal form
     basis S = [[a, b], [0, d]] (0 <= b < a, a*d the index) in sorted
     order, and markings as _markings sorts them.  The cover's polygon is
     S^T applied to the catalog polygon, and the marking M acts on the
-    model through its inverse transpose."""
+    model through its inverse transpose, so the model's polygon is
+    M S^T applied to the catalog polygon, which _markings solved to be a
+    translate of the envelope."""
     area = polygon_area2(envelope)
     for name, make in CATALOG.items():
         base = BASE_CHAR[name]
@@ -323,9 +328,8 @@ def _direct(
                 for m in marks:
                     budget.charge(len(raw.edges))
                     model = transform_model(raw, m.contragredient())
-                    if exact_invariant_frame(_poly_of(model), group) != envelope:
-                        continue
-                    if _fixing_action(model, group) is None:
+                    action = _fixing_action(model, group)
+                    if action is None:
                         continue
                     step = {
                         "step": "direct",
@@ -334,7 +338,7 @@ def _direct(
                         "marking": m.rows(),
                         "polygon": [list(v) for v in envelope],
                     }
-                    return model, step
+                    return model, action, step
     return None
 
 
@@ -453,15 +457,18 @@ def _fixing_action(model: DimerModel, group: Sequence[Mat2]) -> Optional[Symmetr
 
 
 def _chop_down(
-    model: DimerModel, chops, group: Sequence[Mat2], budget: Budget
-) -> Optional[Tuple[DimerModel, List[dict]]]:
+    model: DimerModel, action: SymmetryAction, chops, group: Sequence[Mat2], budget: Budget
+) -> Optional[Tuple[DimerModel, SymmetryAction, List[dict]]]:
     """Follow the recorded cuts (corner, legs, polygon left) down from a
-    realized envelope, depth first over the outcomes of each cut: every
-    outcome keeps a face fixed under the group and must land in the
-    expected exact invariant frame.  None when no sequence of outcomes
-    reaches the end."""
+    realized envelope and its face-fixing action, depth first over the
+    outcomes of each cut that keep a face fixed under the group; with
+    the last model's face-fixing action and the trace steps.  None when
+    no sequence of outcomes reaches the end.
+
+    corner_cuts yields only outcomes whose polygon is a translate of the
+    polygon left, and that is in its exact invariant frame already."""
     if not chops:
-        return model, []
+        return model, action, []
     (corner, legs, below), rest = chops[0], chops[1:]
     step = {
         "step": "chop",
@@ -469,26 +476,19 @@ def _chop_down(
         "legs": legs,
         "polygon": [list(v) for v in below],
     }
-    for cut in corner_cuts(
-        model,
-        group,
-        corner,
-        legs,
-        target=below,
-        accept=lambda m: _fixing_action(m, group) is not None,
-        budget=budget,
-    ):
-        if exact_invariant_frame(_poly_of(cut), group) != below:
+    for cut in corner_cuts(model, group, corner, legs, target=below, budget=budget):
+        cut_action = _fixing_action(cut, group)
+        if cut_action is None:
             continue
-        done = _chop_down(cut, rest, group, budget)
+        done = _chop_down(cut, cut_action, rest, group, budget)
         if done is not None:
-            return done[0], [step] + done[1]
+            return done[0], done[1], [step] + done[2]
     return None
 
 
 def _plan(
     target: Tuple[Vec, ...], group: Sequence[Mat2], budget: Budget
-) -> Optional[Tuple[DimerModel, List[dict]]]:
+) -> Optional[Tuple[DimerModel, SymmetryAction, List[dict]]]:
     """Breadth-first search over envelopes of the target, by number of
     cuts, then by area and polygon, along every path of cuts that
     reaches each envelope: the first envelope that is realized directly
@@ -496,7 +496,7 @@ def _plan(
     envelope is realized at most once, and each envelope and path
     visited is charged to the budget.  None when no envelope is left to
     try; BudgetSpentError when the budget runs out first."""
-    direct: Dict[Tuple[Vec, ...], Optional[Tuple[DimerModel, dict]]] = {}
+    direct: Dict[Tuple[Vec, ...], Optional[tuple]] = {}
     level = {target: [()]}
     while level:
         order = sorted(level, key=lambda e: (polygon_area2(e), e))
@@ -507,9 +507,9 @@ def _plan(
             found = direct[env]
             for chops in level[env] if found is not None else ():
                 budget.charge()
-                done = _chop_down(found[0], chops, group, budget)
+                done = _chop_down(found[0], found[1], chops, group, budget)
                 if done is not None:
-                    return done[0], [found[1]] + done[1]
+                    return done[0], done[1], [found[2]] + done[2]
         grown: Dict[Tuple[Vec, ...], list] = {}
         for env in order:
             for up, (corner, legs) in _envelopes_above(env, group).items():
@@ -537,10 +537,6 @@ class SymmetricDimer:
     polygon: Tuple[Vec, ...]
     trace: List[dict]
     classification: GroupClassification
-
-
-def _poly_of(model: DimerModel) -> Tuple[Vec, ...]:
-    return zigzag_polygon([p.slope for p in zigzag_paths(model)])
 
 
 def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricDimer:
@@ -581,9 +577,8 @@ def synthesize(polygon: Sequence[Vec], generators: Sequence[Mat2]) -> SymmetricD
             f"({budget.spent} of {budget.limit} edge units spent)",
             trace,
         )
-    model, steps = found
+    model, action, steps = found
     trace.extend(steps)
-    action = find_symmetry(model, group)
     trace.append({"step": "done", "polygon": [list(v) for v in target]})
     return SymmetricDimer(
         model=model,

@@ -85,7 +85,7 @@ class DimerModel:
     """Immutable container for nodes and edges with id lookups.
 
     Two caches ride on a model, both computed from it alone: _rotation
-    (see rotation_system) and _cuts, which surgery._try_cut fills with
+    (see rotation_system) and _cuts, which surgery.corner_cuts fills with
     the verdict of each (deleted edges, target polygon) candidate cut of
     this model."""
 

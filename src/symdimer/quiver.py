@@ -156,18 +156,18 @@ class SignedArrowMap:
 
 
 def twisted_action(
-    model: DimerModel,
+    quiver: Quiver,
     action: SymmetryAction,
     d0: Iterable[int],
 ) -> SignedArrowMap:
-    """Group action on arrows twisted by an invariant perfect matching.
+    """Group action on the arrows of the model's dual quiver, twisted by
+    an invariant perfect matching.
 
     An arrow on the matching maps to det(h) times its image; every other
     arrow maps to its plain image.  The matching must be fixed setwise
     by every element, otherwise NotInvariantMatchingError is raised.
     """
     matched = frozenset(d0)
-    quiver = quiver_of(model)
     arrow_perm: Dict[Mat2, Dict[int, int]] = {}
     sign: Dict[Mat2, Dict[int, int]] = {}
     for h in action.elements:

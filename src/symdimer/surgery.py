@@ -8,10 +8,11 @@ sides cross (one path of each side, or as many of each as the cut's
 legs are long), together with their whole edge orbit under the group,
 collapses the divalent nodes this leaves behind, and computes a fresh
 harmonic embedding.  Every candidate outcome is verified from scratch
-(geometry, consistency, zigzag polygon) before it is accepted, once per
+(geometry, consistency, zigzag polygon) before it is yielded, once per
 source model: the verdict is kept on the model, and a search may charge
 each decision to a work budget.  corner_cuts yields the outcomes that
-verify in a fixed order; a caller that needs one takes the first.
+verify in a fixed order; a caller that needs more of an outcome, such
+as a fixed face, tests each one itself.
 """
 
 import heapq
@@ -358,39 +359,12 @@ def _cut(
     return cut
 
 
-def _try_cut(
-    model: DimerModel,
-    doomed: Set[int],
-    target: Tuple[Vec, ...],
-    accept=None,
-    budget: Optional[Budget] = None,
-) -> Optional[DimerModel]:
-    """_cut, decided once per (model, deleted edges, target) and kept on
-    the source model in model._cuts, each decision charged to the budget
-    (if any); then the acceptance predicate (if any).
-
-    A chop meets the same candidate again under other actions of the
-    group, and a repeated chop of the same model object meets all of
-    them again.  _cut depends only on the key, so its verdict is cached;
-    accept may depend on the caller and runs on every call."""
-    key = (frozenset(doomed), target)
-    if key not in model._cuts:
-        if budget is not None:
-            budget.charge(len(model.edges))
-        model._cuts[key] = _cut(model, doomed, target)
-    cut = model._cuts[key]
-    if cut is None or (accept is not None and not accept(cut)):
-        return None
-    return cut
-
-
 def corner_cuts(
     model: DimerModel,
     group: Sequence[Mat2],
     corner: Vec,
     legs: int = 1,
     target: Optional[Sequence[Vec]] = None,
-    accept=None,
     budget: Optional[Budget] = None,
 ) -> Iterator[DimerModel]:
     """Each way to cut the triangle with two legs of the given lattice
@@ -410,10 +384,16 @@ def corner_cuts(
     consistent model has as many faces as twice its polygon's area, and
     each deleted edge merges two faces, so only candidates that delete
     exactly the area difference are tried, in the order of the actions
-    and the path choices.  Each outcome that verifies and is accepted is
-    yielded.  Gathering the candidates, and each candidate decided, is
-    charged to the budget, if one is given.  Raises WholePolygonError
-    when nothing remains and BudgetSpentError when the budget runs out."""
+    and the path choices.  Each outcome that verifies is yielded; its
+    zigzag polygon is a translate of the target.
+
+    A chop meets the same candidate again under other actions of the
+    group, and a repeated chop of the same model object meets all of
+    them again, so each verdict is decided once per (model, deleted
+    edges, target) and kept on the source model in model._cuts.
+    Gathering the candidates, and each candidate decided, is charged to
+    the budget, if one is given.  Raises WholePolygonError when nothing
+    remains and BudgetSpentError when the budget runs out."""
     mats = list(group)
     paths = zigzag_paths(model)
     poly = zigzag_polygon([p.slope for p in paths])
@@ -466,6 +446,10 @@ def corner_cuts(
             if len(doomed) != size or doomed in tried:
                 continue
             tried.add(doomed)
-            cut = _try_cut(model, doomed, want, accept, budget)
-            if cut is not None:
-                yield cut
+            key = (doomed, want)
+            if key not in model._cuts:
+                if budget is not None:
+                    budget.charge(len(model.edges))
+                model._cuts[key] = _cut(model, doomed, want)
+            if model._cuts[key] is not None:
+                yield model._cuts[key]

@@ -6,6 +6,7 @@ import pytest
 
 from symdimer import construct, matchings
 from symdimer.construct import (
+    BASE_CHAR,
     CATALOG,
     NotInvariantError,
     PlannerStuckError,
@@ -15,7 +16,7 @@ from symdimer.construct import (
     transform_model,
     verify_bundle,
 )
-from symdimer.dimer import DimerModel, faces, validate
+from symdimer.dimer import DimerModel, faces, find_symmetry, validate
 from symdimer.lattice import (
     GROUP_TAGS,
     DegenerateError,
@@ -23,6 +24,7 @@ from symdimer.lattice import (
     apply_matrix_to_polygon,
     canonical_group,
     convex_hull,
+    normalize_translation,
     orbit,
     polygon_area2,
     same_up_to_translation,
@@ -54,6 +56,34 @@ def test_catalog_models_are_consistent_with_expected_face_counts():
         assert len(faces(model)) == expected_faces[name], name
         # face count equals twice the polygon area
         assert polygon_area2(poly_of(model)) == expected_faces[name], name
+        assert same_up_to_translation(poly_of(model), BASE_CHAR[name]), name
+
+
+def test_cover_under_a_marking_has_the_solved_polygon():
+    """The planner takes the polygon of a catalog cover by S under the
+    marking M to be M S^T applied to the catalog polygon, and never
+    traces it: pin that law on every Hermite normal form basis of index
+    at most 3 and every unimodular M with entries in [-1, 1]."""
+    marks = [
+        m
+        for m in (mat(*e) for e in itertools.product((-1, 0, 1), repeat=4))
+        if m.det() in (1, -1)
+    ]
+    bases = [
+        mat(a, b, 0, k // a)
+        for k in (1, 2, 3)
+        for a in range(1, k + 1)
+        if k % a == 0
+        for b in range(a)
+    ]
+    assert (len(marks), len(bases)) == (40, 8)
+    for name, make in CATALOG.items():
+        for s in bases:
+            raw = cover(make(), s)
+            for m in marks:
+                model = transform_model(raw, m.contragredient())
+                want = apply_matrix_to_polygon(m.mul(s.transpose()), BASE_CHAR[name])
+                assert poly_of(model) == normalize_translation(want), (name, s, m)
 
 
 def test_synthesize_central_square():
@@ -415,3 +445,4 @@ def test_synthesis_ratchet(tag, polygon):
     assert rep.polygon_match
     assert rep.fixed_face is not None
     assert rep.char_matches_zigzag is True
+    assert sd.action == find_symmetry(sd.model, canonical_group(tag))

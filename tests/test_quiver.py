@@ -38,7 +38,7 @@ def perm_order(perm):
 def plain_action(model, act):
     """Arrow permutation per element: the action twisted by the empty
     matching, which every element fixes, so every sign is +1."""
-    signed = twisted_action(model, act, ())
+    signed = twisted_action(quiver_of(model), act, ())
     assert all(set(s.values()) == {1} for s in signed.sign.values())
     return signed.arrow_perm
 
@@ -179,7 +179,7 @@ def test_twisted_action_flips_signs_exactly_on_the_matching():
     model = octagon_model()
     act = find_symmetry(model, canonical_group("D8"))
     d0 = invariant_matching_at_origin(model, act)
-    sam = twisted_action(model, act, d0)
+    sam = twisted_action(quiver_of(model), act, d0)
     assert sam.ok
     assert sam.matching == tuple(sorted(d0))
     for h in act.elements:
@@ -195,7 +195,7 @@ def test_twisted_action_certificate_balances_path_signs():
     q = quiver_of(model)
     act = find_symmetry(model, canonical_group("D8"))
     d0 = invariant_matching_at_origin(model, act)
-    sam = twisted_action(model, act, d0)
+    sam = twisted_action(q, act, d0)
     for h in act.elements:
         for rel in q.relations:
             assert sam.path_sign(h, rel.plus) == sam.path_sign(h, rel.minus)
@@ -215,7 +215,7 @@ def test_twisted_action_rejects_a_moved_matching():
     )
     assert tuple(sorted(moved)) != tuple(sorted(d0))
     with pytest.raises(NotInvariantMatchingError):
-        twisted_action(model, act, moved)
+        twisted_action(quiver_of(model), act, moved)
 
 
 def test_quiver_action_survives_a_cover():

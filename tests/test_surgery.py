@@ -573,30 +573,6 @@ def test_cut_with_two_legs_at_mirror_corners():
     assert find_symmetry(cut, group).fixed_faces()
 
 
-def test_accept_runs_on_every_repeated_cut():
-    m = centered_square_cover()
-    action = find_symmetry(m, canonical_group("C2"))
-    seen = []
-
-    def accept(cut):
-        seen.append(cut)
-        return True
-
-    first = next(corner_cuts(m, action.elements, (1, 1), accept=accept), None)
-    assert next(corner_cuts(m, action.elements, (1, 1), accept=accept), None) is first
-    assert seen == [first, first]
-    # a rejecting predicate is asked again on the same cached cuts
-    rejected = []
-    for _ in range(2):
-        rejecting = corner_cuts(m, action.elements, (1, 1), accept=rejected.append)
-        assert next(rejecting, None) is None
-    half = len(rejected) // 2
-    assert rejected[0] is first
-    assert all(a is b for a, b in zip(rejected[:half], rejected[half:]))
-    assert len(rejected) == 2 * half
-    assert next(corner_cuts(m, action.elements, (1, 1)), None) is first
-
-
 def _chop_outcome(model, group, corner):
     try:
         cut = next(corner_cuts(model, group, corner), None)
