@@ -278,16 +278,16 @@ def _torus_copies(model: DimerModel):
     return segments, dots
 
 
-def render_svg(model: DimerModel, margin: Fraction = MARGIN) -> str:
+def render_svg(model: DimerModel) -> str:
     """SVG 1.1 drawing of the model on its torus.
 
     The fundamental square is dashed; translated copies fill a margin on
     every side so boundary-crossing edges stay legible.  Black nodes are
     filled, white nodes open.  Output depends only on the model."""
-    size = _SCALE * (1 + 2 * margin)
+    size = _SCALE * (1 + 2 * MARGIN)
 
     def px(x: Fraction, y: Fraction) -> Tuple[str, str]:
-        return _fmt((x + margin) * _SCALE), _fmt((1 + margin - y) * _SCALE)
+        return _fmt((x + MARGIN) * _SCALE), _fmt((1 + MARGIN - y) * _SCALE)
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -324,7 +324,7 @@ def render_svg(model: DimerModel, margin: Fraction = MARGIN) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_tikz(model: DimerModel, margin: Fraction = MARGIN) -> str:
+def render_tikz(model: DimerModel) -> str:
     """TikZ fragment with the same content as the SVG rendering."""
     lines = [
         "\\begin{tikzpicture}[scale=3]",

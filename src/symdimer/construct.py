@@ -15,9 +15,11 @@ a reflection of the group fixes, a triangle with longer legs; these are
 the symmetric form of the corner cuts of Gulotta, Properly ordered
 dimers, R-charges, and an efficient inverse algorithm (arXiv:0807.3012).
 The planner keeps what it has proved: the polygon of a cover under a
-marking is solved, not traced; a cut's polygon is checked by the cut
-itself; and the face-fixing action found for the last model is the one
-returned.  verify_bundle re-checks a model from scratch.
+marking is solved, not traced; a cut is handed the frame, corner and
+polygon left that the envelope search proved, and its outcome's polygon
+is checked by the cut itself; and the face-fixing action found for the
+last model is the one returned.  verify_bundle re-checks a model from
+scratch.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .dimer import (
     find_symmetry,
     fixed_face,
     place,
+    symmetry_actions,
     validate,
 )
 from .lattice import (
@@ -56,7 +59,6 @@ from .lattice import (
     orbit,
     polygon_area2,
     primitive,
-    remove_corner_orbit,
     same_up_to_translation,
 )
 from .matchings import characteristic_polygon
@@ -426,7 +428,6 @@ def _envelopes_above(
             p in env
             and set(lattice_points(env)) == inside.union(orb)
             and corner_cut_admissible(env, group, p)
-            and remove_corner_orbit(env, group, p) == poly
         ):
             grown.append((env, p, 1))
     for p, t in _mirror_apexes(poly, group):
@@ -449,24 +450,23 @@ def _envelopes_above(
 
 
 def _fixing_action(model: DimerModel, group: Sequence[Mat2]) -> Optional[SymmetryAction]:
-    try:
-        action = find_symmetry(model, group)
-    except NotSymmetricError:
-        return None
-    return action if action.fixed_faces() else None
+    return next((a for a in symmetry_actions(model, group) if a.fixed_faces()), None)
 
 
 def _chop_down(
-    model: DimerModel, action: SymmetryAction, chops, group: Sequence[Mat2], budget: Budget
+    model: DimerModel, action: SymmetryAction, frame: Tuple[Vec, ...], chops,
+    group: Sequence[Mat2], budget: Budget,
 ) -> Optional[Tuple[DimerModel, SymmetryAction, List[dict]]]:
     """Follow the recorded cuts (corner, legs, polygon left) down from a
-    realized envelope and its face-fixing action, depth first over the
-    outcomes of each cut that keep a face fixed under the group; with
-    the last model's face-fixing action and the trace steps.  None when
-    no sequence of outcomes reaches the end.
+    realized envelope, its face-fixing action and its polygon in the
+    exact invariant frame, depth first over the outcomes of each cut
+    that keep a face fixed under the group; with the last model's
+    face-fixing action and the trace steps.  None when no sequence of
+    outcomes reaches the end.
 
-    corner_cuts yields only outcomes whose polygon is a translate of the
-    polygon left, and that is in its exact invariant frame already."""
+    _envelopes_above proved each cut.  corner_cuts yields only outcomes
+    whose polygon is a translate of the polygon left, and that is in its
+    exact invariant frame already: the frame of the next cut."""
     if not chops:
         return model, action, []
     (corner, legs, below), rest = chops[0], chops[1:]
@@ -476,11 +476,11 @@ def _chop_down(
         "legs": legs,
         "polygon": [list(v) for v in below],
     }
-    for cut in corner_cuts(model, group, corner, legs, target=below, budget=budget):
+    for cut in corner_cuts(model, group, frame, corner, legs, below, budget):
         cut_action = _fixing_action(cut, group)
         if cut_action is None:
             continue
-        done = _chop_down(cut, cut_action, rest, group, budget)
+        done = _chop_down(cut, cut_action, below, rest, group, budget)
         if done is not None:
             return done[0], done[1], [step] + done[2]
     return None
@@ -507,7 +507,7 @@ def _plan(
             found = direct[env]
             for chops in level[env] if found is not None else ():
                 budget.charge()
-                done = _chop_down(found[0], found[1], chops, group, budget)
+                done = _chop_down(found[0], found[1], env, chops, group, budget)
                 if done is not None:
                     return done[0], done[1], [found[2]] + done[2]
         grown: Dict[Tuple[Vec, ...], list] = {}

@@ -3,7 +3,7 @@
 Everything here is integer arithmetic: 2x2 unimodular matrices, finite
 subgroup generation and classification up to GL(2,Z)-conjugacy, and
 convex lattice polygons (hull, lattice points, boundary segments,
-invariance, corner-orbit removal).
+invariance, corner-chop admissibility).
 
 Polygons are tuples of integer points, counterclockwise, starting at the
 lexicographically smallest corner.  Matrices act on polygon (N-space)
@@ -426,19 +426,6 @@ def same_up_to_translation(p1: Sequence[Vec], p2: Sequence[Vec]) -> bool:
 
 def orbit(elements: Iterable[Mat2], pt: Vec) -> Tuple[Vec, ...]:
     return tuple(sorted(set(h.apply(pt) for h in elements)))
-
-
-def remove_corner_orbit(
-    poly: Sequence[Vec], elements: Iterable[Mat2], corner: Vec
-) -> Tuple[Vec, ...]:
-    """Hull of the polygon's lattice points minus the orbit of a corner."""
-    base = convex_hull(poly)
-    corner = (int(corner[0]), int(corner[1]))
-    if corner not in base:
-        raise ValueError(f"{corner} is not a corner of the polygon")
-    orb = set(orbit(elements, corner))
-    remaining = [p for p in lattice_points(base) if p not in orb]
-    return convex_hull(remaining)
 
 
 def corner_cut_admissible(

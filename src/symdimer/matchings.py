@@ -93,17 +93,6 @@ def enumerate_matchings(model: DimerModel, cap: int = DEFAULT_CAP) -> List[Match
     return results
 
 
-def is_perfect_matching(model: DimerModel, edges: Iterable[int]) -> bool:
-    touched = set()
-    for eid in edges:
-        e = model.edge(eid)
-        if e.white in touched or e.black in touched:
-            return False
-        touched.add(e.white)
-        touched.add(e.black)
-    return len(touched) == len(model.nodes)
-
-
 def _offset_sum(model: DimerModel, matching: Iterable[int]) -> Vec:
     ox = oy = 0
     for eid in matching:
@@ -158,11 +147,6 @@ def characteristic_polygon(model: DimerModel) -> Tuple[Vec, ...]:
                 settled.add((a, b))
         if not grown:
             return convex_hull(points)
-
-
-def apply_to_matching(action: SymmetryAction, h, matching: Iterable[int]) -> Matching:
-    perm = action.edge_perm(h)
-    return tuple(sorted(perm[e] for e in matching))
 
 
 def invariant_matching_at_origin(model: DimerModel, action: SymmetryAction) -> Matching:

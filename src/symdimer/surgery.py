@@ -7,12 +7,14 @@ A corner cut deletes the edges where zigzag paths of the corner's two
 sides cross (one path of each side, or as many of each as the cut's
 legs are long), together with their whole edge orbit under the group,
 collapses the divalent nodes this leaves behind, and computes a fresh
-harmonic embedding.  Every candidate outcome is verified from scratch
-(geometry, consistency, zigzag polygon) before it is yielded, once per
-source model: the verdict is kept on the model, and a search may charge
-each decision to a work budget.  corner_cuts yields the outcomes that
-verify in a fixed order; a caller that needs more of an outcome, such
-as a fixed face, tests each one itself.
+harmonic embedding.  The caller names the cut with what it has proved:
+the model's polygon in its exact invariant frame, an admissible corner,
+the legs and the polygon left.  Every candidate outcome is verified from
+scratch (geometry, consistency, zigzag polygon) before it is yielded,
+once per source model: the verdict is kept on the model, and each
+decision is charged to a work budget.  corner_cuts yields the outcomes
+that verify in a fixed order; a caller that needs more of an outcome,
+such as a fixed face, tests each one itself.
 """
 
 import heapq
@@ -40,16 +42,11 @@ from .dimer import (
     validate,
 )
 from .lattice import (
-    DegenerateError,
     Mat2,
-    convex_hull,
-    corner_cut_admissible,
-    exact_invariant_frame,
     normalize_translation,
     orbit,
     polygon_area2,
     primitive,
-    remove_corner_orbit,
 )
 from .zigzag import (
     NonPrimitiveSlopeError,
@@ -80,10 +77,6 @@ class UnivalentAfterDeletionError(SurgeryError):
 
 class EmbeddingFailedError(SurgeryError):
     """No harmonic embedding with distinct node positions exists."""
-
-
-class WholePolygonError(SurgeryError):
-    """The requested cut would remove the whole polygon."""
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +355,22 @@ def _cut(
 def corner_cuts(
     model: DimerModel,
     group: Sequence[Mat2],
+    frame: Tuple[Vec, ...],
     corner: Vec,
-    legs: int = 1,
-    target: Optional[Sequence[Vec]] = None,
-    budget: Optional[Budget] = None,
+    legs: int,
+    target: Tuple[Vec, ...],
+    budget: Budget,
 ) -> Iterator[DimerModel]:
     """Each way to cut the triangle with two legs of the given lattice
     length off one polygon corner, and off its whole orbit, symmetrically
-    under an action of the group (a list of all its elements).
+    under an action of the group (a tuple of all its elements), leaving
+    a translate of the target.
 
-    The corner is named in the exactly invariant frame of the zigzag
-    polygon (the translate fixed setwise by every group element).  The
-    chop must be admissible: no other corner in the orbit is joined to
-    this one by a primitive boundary segment.  With one leg the target
-    is by default the hull of the remaining lattice points; longer legs
-    need the target spelled out.
+    The caller has proved what the chop needs: frame is the model's
+    zigzag polygon in its exact invariant frame, corner is a corner of
+    frame admissible for a chop (lattice.corner_cut_admissible), and the
+    chop leaves the target.  A corner not in frame raises ValueError; a
+    wrong frame or target yields nothing.
 
     A candidate deletes, for one choice of `legs` zigzag paths of each of
     the corner's two sides that all cross one another, the crossing
@@ -392,33 +386,10 @@ def corner_cuts(
     them again, so each verdict is decided once per (model, deleted
     edges, target) and kept on the source model in model._cuts.
     Gathering the candidates, and each candidate decided, is charged to
-    the budget, if one is given.  Raises WholePolygonError when nothing
-    remains and BudgetSpentError when the budget runs out."""
-    mats = list(group)
-    paths = zigzag_paths(model)
-    poly = zigzag_polygon([p.slope for p in paths])
-    frame = exact_invariant_frame(poly, mats)
-    corner = (int(corner[0]), int(corner[1]))
-    if corner not in frame:
-        raise ValueError(f"{corner} is not a corner of {frame}")
-    if not corner_cut_admissible(frame, mats, corner):
-        raise ValueError(
-            f"corner {corner} is joined to an orbit translate by a "
-            f"primitive boundary segment"
-        )
-    if target is None:
-        if legs != 1:
-            raise ValueError("a cut with legs longer than one needs its target")
-        try:
-            rest = remove_corner_orbit(frame, mats, corner)
-        except DegenerateError:
-            raise WholePolygonError("chop removes the whole polygon") from None
-        if len(rest) < 3 or polygon_area2(rest) == 0:
-            raise WholePolygonError("chop removes the whole polygon")
-        target = rest
+    the budget; BudgetSpentError when it runs out."""
     # The verifier compares normalized polygons, so the shift between the
     # invariant frame and the model frame drops out.
-    want = normalize_translation(convex_hull(target))
+    want = normalize_translation(target)
     size = polygon_area2(frame) - polygon_area2(want)
 
     d_in, d_out = _corner_sides(frame, corner)
@@ -426,10 +397,10 @@ def corner_cuts(
     # slopes says, and the seed's images at the other corners of the
     # orbit are apart: when they alone pass the size, nothing fits.
     det = abs(d_in[0] * d_out[1] - d_in[1] * d_out[0])
-    if len(orbit(mats, corner)) * legs * legs * det > size:
+    if len(orbit(group, corner)) * legs * legs * det > size:
         return
-    if budget is not None:
-        budget.charge(len(model.edges))
+    budget.charge(len(model.edges))
+    paths = zigzag_paths(model)
     fam_out = [set(p.edge_ids()) for p in paths if p.slope == _side_normal(d_out)]
     fam_in = [set(p.edge_ids()) for p in paths if p.slope == _side_normal(d_in)]
     seeds = []
@@ -439,7 +410,7 @@ def corner_cuts(
             if all(crossings):
                 seeds.append(set().union(*crossings))
     tried = set()
-    for action in symmetry_actions(model, mats):
+    for action in symmetry_actions(model, group):
         orbits = action.edge_orbits()
         for seed in seeds:
             doomed = frozenset().union(*(orbits[e] for e in seed))
@@ -448,8 +419,7 @@ def corner_cuts(
             tried.add(doomed)
             key = (doomed, want)
             if key not in model._cuts:
-                if budget is not None:
-                    budget.charge(len(model.edges))
+                budget.charge(len(model.edges))
                 model._cuts[key] = _cut(model, doomed, want)
             if model._cuts[key] is not None:
                 yield model._cuts[key]

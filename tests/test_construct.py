@@ -24,19 +24,18 @@ from symdimer.lattice import (
     apply_matrix_to_polygon,
     canonical_group,
     convex_hull,
+    corner_cut_admissible,
+    exact_invariant_frame,
     normalize_translation,
     orbit,
     polygon_area2,
     same_up_to_translation,
 )
-from symdimer.matchings import (
-    apply_to_matching,
-    characteristic_polygon,
-    invariant_matching_at_origin,
-    is_perfect_matching,
-)
-from symdimer.surgery import cover
+from symdimer.matchings import characteristic_polygon, invariant_matching_at_origin
+from symdimer.surgery import corner_cuts, cover
 from symdimer.zigzag import check_consistency, zigzag_paths, zigzag_polygon
+
+from checks import apply_to_matching, is_perfect_matching, one_leg_rest
 
 
 def mat(a, b, c, d):
@@ -120,8 +119,9 @@ def test_synthesize_full_hexagon_symmetry():
         ("R2", [(-1, 0), (0, -1), (1, -1), (-1, 1)], [[0, 0]]),
     ],
 )
-def test_synthesize_chops_a_direct_envelope(tag, polygon, corners):
+def test_synthesize_chops_a_direct_envelope(tag, polygon, corners, proved_chops):
     sd = synthesize(polygon, list(canonical_group(tag)))
+    assert len(proved_chops) >= len(corners)
     steps = [s["step"] for s in sd.trace]
     assert steps == ["classify", "direct"] + ["chop"] * len(corners) + ["done"]
     assert [s["corner"] for s in sd.trace if s["step"] == "chop"] == corners
@@ -129,13 +129,14 @@ def test_synthesize_chops_a_direct_envelope(tag, polygon, corners):
     assert verify_bundle(sd.model, action=sd.action, polygon=polygon).ok
 
 
-def test_synthesize_cuts_long_legs_at_a_mirror_corner():
+def test_synthesize_cuts_long_legs_at_a_mirror_corner(proved_chops):
     """The D6_2 hexagon with sides 2 and 1: the envelope is a triangle,
     and the cut at its corners, which a reflection fixes, has legs 2."""
     hexagon = [(-3, -1), (-1, -3), (1, -2), (3, 2), (2, 3), (-2, 1)]
     sd = synthesize(hexagon, list(canonical_group("D6_2")))
     chops = [s for s in sd.trace if s["step"] == "chop"]
     assert [s["legs"] for s in chops] == [2, 1]
+    assert {legs for _, _, legs, _ in proved_chops} == {1, 2}
     rep = verify_bundle(sd.model, action=sd.action, polygon=hexagon)
     assert rep.ok and rep.polygon_match and rep.fixed_face is not None
 
@@ -361,7 +362,7 @@ def _case_set(name):
     """(tag, polygon) cases, each polygon once per group.
 
     radius-1: hulls of the orbits of one or two points of [-1,1]^2;
-    radius-2 and radius-3: hulls of the orbit of one point of [-r,r]^2
+    radius-2 to radius-4: hulls of the orbit of one point of [-r,r]^2
     with a coordinate of +-r; hulls: every invariant hull of points of
     [-1,1]^2, that is of unions of orbits."""
     grid = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
@@ -370,7 +371,7 @@ def _case_set(name):
         group = canonical_group(tag)
         if name == "radius-1":
             seeds = [[p] for p in grid] + [list(c) for c in itertools.combinations(grid, 2)]
-        elif name in ("radius-2", "radius-3"):
+        elif name in ("radius-2", "radius-3", "radius-4"):
             r = int(name[-1])
             seeds = [
                 [(x, y)]
@@ -395,7 +396,8 @@ def _case_set(name):
 
 
 CASE_SETS = {
-    name: _case_set(name) for name in ("radius-1", "radius-2", "hulls", "radius-3")
+    name: _case_set(name)
+    for name in ("radius-1", "radius-2", "hulls", "radius-3", "radius-4")
 }
 # Hexagons with a coordinate of +-3 that only a cut with legs longer than
 # one reaches: at the corners of a triangle, and of a hexagon, that a
@@ -405,6 +407,12 @@ CASE_SETS["long-legs"] = [
     ("D6_1", ((-3, -4), (-1, -4), (4, 1), (4, 3), (-1, 3), (-3, 1))),
     ("D6_2", ((-4, -3), (-3, -4), (3, -1), (4, 1), (1, 4), (-1, 3))),
 ]
+# The cases the planner ends stuck on: the D6_2 hexagon with sides of
+# lattice length 4 and 2, and its mirror image.
+STUCK = {
+    ("D6_2", ((-6, -2), (-2, -6), (2, -4), (6, 4), (4, 6), (-4, 2))),
+    ("D6_2", ((-6, -4), (-4, -6), (4, -2), (6, 2), (2, 6), (-2, 4))),
+}
 
 
 def test_case_sets_have_the_expected_sizes():
@@ -413,14 +421,58 @@ def test_case_sets_have_the_expected_sizes():
         "radius-2": 45,
         "hulls": 238,
         "radius-3": 67,
+        "radius-4": 92,
         "long-legs": 2,
     }
+    assert STUCK <= set(CASE_SETS["radius-4"])
     cases = {c for v in CASE_SETS.values() for c in v}
     assert all(
         apply_matrix_to_polygon(h, p) == convex_hull(p)
         for t, p in cases
         for h in canonical_group(t)
     )
+
+
+@pytest.fixture
+def proved_chops(monkeypatch):
+    """Re-check, on every corner_cuts call the planner makes, what
+    corner_cuts takes on trust: the frame is the model's traced polygon
+    in its exact invariant frame, the corner is an admissible corner of
+    it, and a one-leg chop of its orbit leaves a translate of the
+    target.  Yields the (frame, corner, legs, target) of each call."""
+    calls = []
+
+    def checked(model, group, frame, corner, legs, target, budget):
+        assert frame == exact_invariant_frame(poly_of(model), group)
+        assert corner in frame and corner_cut_admissible(frame, group, corner)
+        if legs == 1:
+            assert same_up_to_translation(one_leg_rest(frame, group, corner), target)
+        calls.append((frame, corner, legs, target))
+        return corner_cuts(model, group, frame, corner, legs, target, budget)
+
+    monkeypatch.setattr(construct, "corner_cuts", checked)
+    yield calls
+
+
+def test_one_leg_envelopes_chop_back_to_the_polygon():
+    """Every one-leg envelope _envelopes_above offers, over two levels
+    above the radius-1 and hulls polygons, leaves a translate of the
+    polygon below when its corner's orbit is chopped off."""
+    seen = 0
+    for tag, polygon in CASE_SETS["radius-1"] + CASE_SETS["hulls"]:
+        group = canonical_group(tag)
+        level = [exact_invariant_frame(polygon, group)]
+        for _ in range(2):
+            above = []
+            for poly in level:
+                for env, (corner, legs) in construct._envelopes_above(poly, group).items():
+                    if legs == 1:
+                        rest = one_leg_rest(env, group, corner)
+                        assert same_up_to_translation(rest, poly)
+                        seen += 1
+                    above.append(env)
+            level = above
+    assert seen > 1000
 
 
 @pytest.mark.parametrize(
@@ -431,14 +483,18 @@ def test_case_sets_have_the_expected_sizes():
             poly,
             id=f"{name}-{tag}-" + "_".join(f"{x},{y}" for x, y in poly),
             marks=[pytest.mark.slow]
-            if name in ("radius-2", "radius-3", "long-legs")
+            if name in ("radius-2", "radius-3", "radius-4", "long-legs")
             else [],
         )
         for name, cases in CASE_SETS.items()
         for tag, poly in cases
     ],
 )
-def test_synthesis_ratchet(tag, polygon):
+def test_synthesis_ratchet(tag, polygon, proved_chops):
+    if (tag, polygon) in STUCK:
+        with pytest.raises(PlannerStuckError):
+            synthesize(polygon, list(canonical_group(tag)))
+        return
     sd = synthesize(polygon, list(canonical_group(tag)))
     rep = verify_bundle(sd.model, action=sd.action, polygon=polygon)
     assert rep.ok

@@ -51,11 +51,6 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [(2, "os")]
 
 
-# The predicates the library offers for checking a matching.  Callers use
-# them on what enumerate_matchings and invariant_matching_at_origin return.
-UNUSED_ON_PURPOSE = {"is_perfect_matching", "apply_to_matching"}
-
-
 def unreferenced_definitions(sources):
     """(module, name) of the public top-level functions and classes that no
     top-level statement other than their own definition reads, as a name
@@ -84,8 +79,7 @@ def unreferenced_definitions(sources):
 
 def test_every_public_definition_is_used_by_the_library():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    found = unreferenced_definitions(sources)
-    assert [d for d in found if d[1] not in UNUSED_ON_PURPOSE] == []
+    assert unreferenced_definitions(sources) == []
 
 
 def test_the_check_sees_an_unreferenced_definition():

@@ -237,27 +237,6 @@ def test_is_invariant():
     )
 
 
-def test_remove_corner_orbit_examples():
-    square = L.convex_hull([(2, 2), (2, -2), (-2, 2), (-2, -2)])
-    hexagon = L.remove_corner_orbit(square, L.canonical_group("C2"), (2, 2))
-    assert set(hexagon) == {(2, -2), (2, 1), (1, 2), (-2, 2), (-2, -1), (-1, -2)}
-    diamond2 = L.convex_hull([(2, 0), (0, 2), (-2, 0), (0, -2)])
-    sq = L.remove_corner_orbit(diamond2, L.canonical_group("C4"), (2, 0))
-    assert set(sq) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    with pytest.raises(L.DegenerateError):
-        tri = L.convex_hull([(0, 0), (1, 0), (0, 1)])
-        L.remove_corner_orbit(tri, L.canonical_group("TRIVIAL"), (1, 0))
-
-
-def test_remove_corner_orbit_commutes_with_action():
-    square = L.convex_hull([(2, 2), (2, -2), (-2, 2), (-2, -2)])
-    g = L.canonical_group("C2")
-    a = L.remove_corner_orbit(square, g, (2, 2))
-    b = L.remove_corner_orbit(square, g, (-2, -2))
-    assert a == b
-    assert all(L.apply_matrix_to_polygon(h, a) == a for h in g)
-
-
 def test_chop_admissible():
     square = L.convex_hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     assert L.corner_cut_admissible(square, L.canonical_group("C2"), (1, 1))

@@ -36,16 +36,16 @@ from symdimer.matchings import (
     CapExceededError,
     NoInvariantMatchingError,
     OriginNotInPolygonError,
-    apply_to_matching,
     characteristic_polygon,
     enumerate_matchings,
     height_change,
     invariant_matching_at_origin,
-    is_perfect_matching,
     max_weight_perfect_matching,
     support,
 )
 from symdimer.surgery import cover
+
+from checks import apply_to_matching, is_perfect_matching
 
 ALL_MODELS = [
     ("hexagonal", hexagonal_model),

@@ -19,6 +19,7 @@ from symdimer.dimer import (
 )
 from symdimer.lattice import (
     GROUP_TAGS,
+    DegenerateError,
     Mat2,
     canonical_group,
     convex_hull,
@@ -36,7 +37,6 @@ from symdimer.surgery import (
     SingularBasisError,
     SurgeryError,
     UnivalentAfterDeletionError,
-    WholePolygonError,
     cover,
     corner_cuts,
     delete_edges,
@@ -50,6 +50,8 @@ from symdimer.construct import (
     dodecagon_model,
 )
 
+from checks import one_leg_rest
+
 
 def mat(a, b, c, d):
     return Mat2.from_rows(((a, b), (c, d)))
@@ -61,6 +63,16 @@ def poly_of(model):
 
 def identity_action(model):
     return find_symmetry(model, [Mat2.identity()])
+
+
+def chop(model, group, corner, legs=1, target=None):
+    """corner_cuts with what the planner proves before it asks: the
+    model's polygon in its exact invariant frame, by default the polygon
+    a one-leg chop leaves, and a budget too large to run out."""
+    frame = exact_invariant_frame(poly_of(model), group)
+    if target is None:
+        target = one_leg_rest(frame, group, corner)
+    return corner_cuts(model, group, frame, corner, legs, target, Budget(10**9))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +415,7 @@ def test_corner_chop_square_c2_gives_hexagon():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = next(corner_cuts(m, action.elements, (1, 1)), None)
+    chopped = next(chop(m, action.elements, (1, 1)), None)
     assert validate(chopped).ok
     assert check_consistency(chopped, zigzag_paths(chopped)).consistent
     frame = exact_invariant_frame(
@@ -419,7 +431,7 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
     m = cover(octagon_model(), mat(2, 0, 0, 2))
     action = find_symmetry(m, canonical_group("C4"))
     assert action is not None
-    chopped = next(corner_cuts(m, action.elements, (2, 0)), None)
+    chopped = next(chop(m, action.elements, (2, 0)), None)
     assert validate(chopped).ok
     assert check_consistency(chopped, zigzag_paths(chopped)).consistent
     frame = exact_invariant_frame(
@@ -432,38 +444,22 @@ def test_corner_chop_c4_diamond_orbit_gives_square():
 def test_corner_chop_trivial_group_matches_plain_cut():
     m = octagon_model()
     action = identity_action(m)
-    chopped = next(corner_cuts(m, action.elements, (2, 0)), None)
+    chopped = next(chop(m, action.elements, (2, 0)), None)
     assert poly_of(chopped) == ((0, 0), (1, -1), (1, 1))
-
-
-def test_corner_chop_inadmissible_corner_rejected():
-    m = octagon_model()
-    action = find_symmetry(m, canonical_group("C4"))
-    assert action is not None
-    with pytest.raises(ValueError):
-        next(corner_cuts(m, action.elements, (1, 0)), None)
-
-
-def test_corner_chop_whole_polygon_guard():
-    m = octagon_model()
-    action = find_symmetry(m, canonical_group("C2"))
-    assert action is not None
-    with pytest.raises(WholePolygonError):
-        next(corner_cuts(m, action.elements, (1, 0)), None)
 
 
 def test_corner_chop_unreachable_target_exhausts():
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     target = ((0, 0), (5, 0), (0, 5))
-    assert next(corner_cuts(m, action.elements, (1, 1), target=target), None) is None
+    assert next(chop(m, action.elements, (1, 1), target=target), None) is None
 
 
 def test_corner_chop_dodecagon_c2_gives_diamond():
     m = dodecagon_model()
     action = find_symmetry(m, canonical_group("C2"))
     assert action is not None
-    chopped = next(corner_cuts(m, action.elements, (1, 1)), None)
+    chopped = next(chop(m, action.elements, (1, 1)), None)
     assert validate(chopped).ok
     assert check_consistency(chopped, zigzag_paths(chopped)).consistent
     frame = exact_invariant_frame(
@@ -492,10 +488,10 @@ def reembed_calls(monkeypatch):
 def test_repeated_chop_is_decided_once(reembed_calls):
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
-    first = next(corner_cuts(m, action.elements, (1, 1)), None)
+    first = next(chop(m, action.elements, (1, 1)), None)
     assert reembed_calls
     seen = len(reembed_calls)
-    assert next(corner_cuts(m, action.elements, (1, 1)), None) is first
+    assert next(chop(m, action.elements, (1, 1)), None) is first
     assert len(reembed_calls) == seen
 
 
@@ -503,49 +499,45 @@ def test_repeated_failing_chop_is_decided_once(reembed_calls):
     m = centered_square_cover()
     action = find_symmetry(m, canonical_group("C2"))
     target = ((0, 0), (5, 0), (0, 5))
-    assert next(corner_cuts(m, action.elements, (1, 1), target=target), None) is None
+    assert next(chop(m, action.elements, (1, 1), target=target), None) is None
     seen = len(reembed_calls)
-    assert next(corner_cuts(m, action.elements, (1, 1), target=target), None) is None
+    assert next(chop(m, action.elements, (1, 1), target=target), None) is None
     assert len(reembed_calls) == seen
     # the same deleted edges toward another target are a new candidate
     cold = centered_square_cover()
-    want = next(corner_cuts(cold, canonical_group("C2"), (1, 1)), None)
+    want = next(chop(cold, canonical_group("C2"), (1, 1)), None)
     assert want is not None
-    assert next(corner_cuts(m, action.elements, (1, 1)), None) == want
+    assert next(chop(m, action.elements, (1, 1)), None) == want
 
 
 def test_budget_counts_edges_handled(reembed_calls):
     m = centered_square_cover()
     group = canonical_group("C2")
+    frame = exact_invariant_frame(poly_of(m), group)
+    args = (m, group, frame, (1, 1), 1, one_leg_rest(frame, group, (1, 1)))
     with pytest.raises(BudgetSpentError, match="0 of 0 edge units"):
-        next(corner_cuts(m, group, (1, 1), budget=Budget(0)), None)
+        next(corner_cuts(*args, Budget(0)), None)
     budget = Budget(10**6)
-    first = next(corner_cuts(m, group, (1, 1), budget=budget), None)
+    first = next(corner_cuts(*args, budget), None)
     assert reembed_calls
     # gathering the candidates, then each candidate decided
     assert budget.spent == len(m.edges) * (1 + len(reembed_calls))
     # kept verdicts are free: the same chop again costs the gathering
     spent = budget.spent
-    assert next(corner_cuts(m, group, (1, 1), budget=budget), None) is first
+    assert next(corner_cuts(*args, budget), None) is first
     assert budget.spent == spent + len(m.edges)
 
 
 def test_corner_cuts_yield_each_outcome_once():
     m = centered_square_cover()
     group = canonical_group("C2")
-    cuts = list(corner_cuts(m, group, (1, 1)))
-    assert cuts and next(corner_cuts(m, group, (1, 1)), None) is cuts[0]
+    cuts = list(chop(m, group, (1, 1)))
+    assert cuts and next(chop(m, group, (1, 1)), None) is cuts[0]
     assert len({id(c) for c in cuts}) == len(cuts)
     for cut in cuts:
         assert exact_invariant_frame(poly_of(cut), group) == convex_hull(
             [(1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
         )
-
-
-def test_long_legs_need_a_target():
-    m = centered_square_cover()
-    with pytest.raises(ValueError, match="needs its target"):
-        next(corner_cuts(m, canonical_group("C2"), (1, 1), legs=2), None)
 
 
 def test_cut_with_two_legs_at_mirror_corners():
@@ -565,8 +557,8 @@ def test_cut_with_two_legs_at_mirror_corners():
     ]
     target = convex_hull(ends)
     assert len(target) == 6
-    assert next(corner_cuts(tri, group, frame[0], target=target), None) is None
-    cut = next(corner_cuts(tri, group, frame[0], legs=2, target=target), None)
+    assert next(chop(tri, group, frame[0], target=target), None) is None
+    cut = next(chop(tri, group, frame[0], legs=2, target=target), None)
     assert validate(cut).ok
     assert check_consistency(cut, zigzag_paths(cut)).consistent
     assert exact_invariant_frame(poly_of(cut), group) == target
@@ -575,8 +567,9 @@ def test_cut_with_two_legs_at_mirror_corners():
 
 def _chop_outcome(model, group, corner):
     try:
-        cut = next(corner_cuts(model, group, corner), None)
-    except SurgeryError as exc:
+        cut = next(chop(model, group, corner), None)
+    except DegenerateError as exc:
+        # the chop would take the whole polygon off
         return type(exc), str(exc)
     return None if cut is None else (cut.nodes, cut.edges)
 
